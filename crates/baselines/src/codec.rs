@@ -69,7 +69,7 @@ pub trait TestDataCodec: Send + Sync {
         let ranges: Vec<(usize, usize)> = (0..stream.len().div_ceil(seg_len))
             .map(|i| (i * seg_len, ((i + 1) * seg_len).min(stream.len())))
             .collect();
-        let segments = ninec::engine::pool::map_indexed(threads, ranges.len(), |i| {
+        let segments = ninec::engine::exec::map_indexed(threads, ranges.len(), |i| {
             let (start, end) = ranges[i];
             let mut sub = TritVec::with_capacity(end - start);
             sub.extend_from_slice(stream.slice_view(start, end));
@@ -91,7 +91,7 @@ pub trait TestDataCodec: Send + Sync {
         encoded: &SegmentedStream,
         threads: usize,
     ) -> Result<TritVec, CodecDecodeError> {
-        let parts = ninec::engine::pool::map_indexed(threads, encoded.segments.len(), |i| {
+        let parts = ninec::engine::exec::map_indexed(threads, encoded.segments.len(), |i| {
             self.decode_stream(&encoded.segments[i])
         });
         let mut out = TritVec::with_capacity(encoded.source_len());

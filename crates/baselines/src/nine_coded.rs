@@ -110,23 +110,6 @@ impl NineCoded {
             .decode_frame(bytes)
     }
 
-    /// Runs the full decode ladder (strict → parity repair → salvage) on
-    /// a possibly damaged frame and returns the [`SalvageReport`] — the
-    /// harness-side entry to the v3 erasure-coding story.
-    ///
-    /// # Errors
-    ///
-    /// Typed [`DecodeError`] on file-level damage (bad magic, torn
-    /// header); segment-level damage comes back in the report instead.
-    pub fn decode_frame_repair(
-        &self,
-        bytes: &[u8],
-        threads: usize,
-    ) -> Result<ninec::engine::SalvageReport, DecodeError> {
-        self.engine(threads, ninec::engine::DEFAULT_SEGMENT_BITS)
-            .decode_frame_repair(bytes)
-    }
-
     fn engine(&self, threads: usize, segment_bits: usize) -> Engine {
         let mut builder = Engine::builder()
             .threads(threads)
@@ -218,9 +201,12 @@ mod tests {
         bad[ninec::engine::frame::HEADER_BYTES_V3 + ninec::engine::frame::SEGMENT_HEADER_BYTES] ^=
             0x55;
         assert!(protected.decode_frame(&bad, 2).is_err(), "strict rejects");
-        let report = protected.decode_frame_repair(&bad, 2).unwrap();
-        assert!(report.is_full_recovery(), "{:?}", report.damaged);
-        assert_eq!(report.trits, clean, "repair is bit-exact");
+        let outcome = ninec::DecodeSession::new()
+            .threads(2)
+            .decode_frame(&bad, ninec::Policy::Repair)
+            .unwrap();
+        assert!(outcome.is_lossless(), "{:?}", outcome.report);
+        assert_eq!(outcome.trits, clean, "repair is bit-exact");
 
         // `r = 0` keeps emitting plain v2 bytes.
         let degenerate = NineCoded::new(8).unwrap().parity(4, 0);

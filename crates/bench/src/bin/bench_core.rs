@@ -129,21 +129,14 @@ fn main() {
     }
     // Plan-then-execute pipeline: the same damaged-v3 repair driven off a
     // single FramePlan. The measurement asserts the scan-pass counter
-    // drops 3→1 for the whole strict→repair→salvage ladder and that the
-    // plan-driven repair is bit-exact; the throughput rows show the
-    // repair path is no slower than the one-shot wrapper.
+    // reads 1 for the whole strict→repair→salvage ladder and that the
+    // plan-driven repair is bit-exact.
     let mut plan_rows: Vec<PlanDecodeRow> = Vec::new();
     for threads in [1usize, 8] {
         let row = measure_plan_decode(&ibm[0].name, ckt1, 8, threads, 1 << 20, (4, 1), 5);
         eprintln!(
-            "{} K=8 threads={:<2} parity 4:1 ladder scans {}→{}, repair {:>8.1} -> {:>8.1} Mbit/s ({:.2}x)",
-            row.circuit,
-            row.threads,
-            row.classic_scan_passes,
-            row.plan_scan_passes,
-            row.classic_repair_mbit_s,
-            row.plan_repair_mbit_s,
-            row.repair_speedup()
+            "{} K=8 threads={:<2} parity 4:1 ladder scans {}, repair {:>8.1} Mbit/s",
+            row.circuit, row.threads, row.plan_scan_passes, row.plan_repair_mbit_s
         );
         plan_rows.push(row);
     }
@@ -208,25 +201,23 @@ fn main() {
             .parity(4, 1)
             .build();
         let mut v3 = protected.encode_frame(8, &small).expect("encode v3");
-        let scan = ninec::engine::frame::scan_salvage(&v3, &DecodeLimits::default())
-            .expect("scan own frame");
-        let data: Vec<_> = scan
-            .entries
+        let plan = protected.build_plan(&v3).expect("plan own frame");
+        let data: Vec<_> = plan
+            .entries()
             .iter()
             .filter_map(|e| match e {
-                ninec::engine::frame::ScanEntry::Intact { byte_range, .. } => {
-                    Some(byte_range.clone())
-                }
+                ninec::PlanEntry::Data { byte_range, .. } => Some(byte_range.clone()),
                 _ => None,
             })
             .collect();
-        let groups = scan.groups();
+        let groups = plan.groups();
         // Two data segments of group 0: indices 0 and `groups`.
         for idx in [0, groups] {
             v3[data[idx].start + SEGMENT_HEADER_BYTES] ^= 0x55;
         }
         let report = protected
-            .decode_frame_repair(&v3)
+            .build_plan(&v3)
+            .and_then(|plan| protected.execute_plan(&plan, ninec::Policy::Repair))
             .expect("file headers intact");
         assert!(
             !report.is_full_recovery(),

@@ -1,7 +1,7 @@
 //! Per-frame decode audit: which ladder rung produced each segment.
 //!
 //! A [`DecodeAudit`] is the queryable rollup of one audited frame decode
-//! ([`crate::session::DecodeSession::decode_frame_audited`]): one
+//! ([`DecodeSession::audit`](crate::session::DecodeSession::audit)): one
 //! [`SegmentAudit`] per output segment naming the rung it resolved on
 //! (strict / repaired / salvaged), and — when the flight recorder is
 //! compiled in and enabled — the worker that decoded it and the decode

@@ -1,9 +1,9 @@
 //! A reusable, std-only work-stealing executor with two job priorities.
 //!
-//! This is the scheduling core the segment [`pool`](super::pool) wraps:
-//! all jobs are known up front, none spawns new ones, and every job
-//! writes exactly one result slot, returned in job-index order. What the
-//! executor adds over a plain pool is a **two-level priority**: every
+//! The engine's unit of work is a *segment index*: all jobs are known up
+//! front, none spawns new ones, and every job writes exactly one result
+//! slot, returned in job-index order. What the executor adds over a
+//! plain pool is a **two-level priority**: every
 //! job is seeded as [`Priority::High`] or [`Priority::Low`], and no
 //! worker starts a `Low` job while any `High` job is still queued
 //! anywhere. The decode pipeline uses this to keep payload decodes
@@ -11,8 +11,7 @@
 //! work, and it is the executor a future `ninec-serve` can multiplex
 //! connections onto.
 //!
-//! Scheduling shape (per priority level, identical to the old pool):
-//! per-worker deques seeded round-robin, LIFO pops from the owner, FIFO
+//! Scheduling shape (per priority level): per-worker deques seeded round-robin, LIFO pops from the owner, FIFO
 //! steals from siblings. A worker drains `High` — its own deque, then
 //! every sibling's — before touching any `Low` deque; since jobs are
 //! only ever removed after seeding, a worker that finds every `High`
@@ -30,7 +29,8 @@
 //! other job's result is delivered intact, and the index-ordered merge
 //! can never deadlock on a missing slot. The serial fallback catches
 //! panics the same way, so `threads = 1` isolates identically to
-//! `threads = 8`.
+//! `threads = 8`. ([`map_indexed`], which the encode paths use, re-raises
+//! a job's panic instead: there a panic is a bug, not a decode verdict.)
 //!
 //! Cancellation: [`run_cancellable`] threads an optional
 //! [`CancelToken`] through both paths. The token is checked *between*
@@ -179,6 +179,32 @@ fn lock_queues<'a>(queues: &'a [Mutex<Queues>], w: usize) -> MutexGuard<'a, Queu
         Ok(guard) => guard,
         Err(poisoned) => poisoned.into_inner(),
     }
+}
+
+/// Runs `f(0..jobs)` across at most `threads` workers at
+/// [`Priority::High`] and returns the results in job-index order.
+///
+/// # Panics
+///
+/// Propagates a panic from `f` (re-raised on the calling thread after
+/// every worker has drained; no other job's result is lost first). Use
+/// [`run_prioritized`] to receive panics as values instead.
+pub fn map_indexed<T, F>(threads: usize, jobs: usize, f: F) -> Vec<T>
+where
+    T: Send + Sync,
+    F: Fn(usize) -> T + Sync,
+{
+    let mut out = Vec::with_capacity(jobs);
+    for (i, r) in run_prioritized(threads, jobs, |_| Priority::High, f)
+        .into_iter()
+        .enumerate()
+    {
+        match r {
+            Ok(v) => out.push(v),
+            Err(p) => panic!("executor job {i} panicked: {}", p.message),
+        }
+    }
+    out
 }
 
 /// Runs `f(0..jobs)` across at most `threads` workers, scheduling each
@@ -703,5 +729,55 @@ mod tests {
         for (i, o) in out.iter().enumerate() {
             assert_eq!(o, &JobOutcome::Done(i * 2));
         }
+    }
+
+    #[test]
+    fn map_indexed_serial_fallback_matches_parallel() {
+        let serial = map_indexed(1, 17, |i| i * i);
+        let parallel = map_indexed(4, 17, |i| i * i);
+        assert_eq!(serial, parallel);
+        assert_eq!(serial, (0..17).map(|i| i * i).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn results_stay_in_index_order_under_skewed_load() {
+        // Make early jobs slow so late jobs finish first; order must hold.
+        let out = map_indexed(4, 12, |i| {
+            if i < 3 {
+                std::thread::sleep(std::time::Duration::from_millis(5));
+            }
+            i * 10
+        });
+        assert_eq!(out, (0..12).map(|i| i * 10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn all_jobs_panicking_still_terminates() {
+        let out = run_prioritized::<usize, _, _>(4, 8, all_high, |i| panic!("all down {i}"));
+        assert_eq!(out.len(), 8);
+        assert!(out.iter().all(|r| r.is_err()));
+    }
+
+    #[test]
+    fn non_string_panic_payload_is_reported() {
+        let out =
+            run_prioritized::<usize, _, _>(1, 1, all_high, |_| std::panic::panic_any(42usize));
+        assert_eq!(
+            out[0].as_ref().expect_err("panicked").message,
+            "non-string panic payload"
+        );
+    }
+
+    #[test]
+    fn map_indexed_propagates_a_job_panic() {
+        let caught = std::panic::catch_unwind(|| {
+            map_indexed(2, 4, |i| {
+                if i == 2 {
+                    panic!("expected propagation");
+                }
+                i
+            })
+        });
+        assert!(caught.is_err());
     }
 }

@@ -4,7 +4,7 @@
 //! across independent FSMs; [`Engine`] is the software mirror of that
 //! architecture. It partitions a source stream into block-aligned
 //! **segments**, encodes/decodes them concurrently on a vendored, std-only
-//! work-stealing pool ([`pool`]), and merges deterministically — the
+//! work-stealing executor ([`exec`]), and merges deterministically — the
 //! output is byte-identical regardless of thread count, with a serial
 //! in-caller fallback at `threads = 1`.
 //!
@@ -61,7 +61,6 @@ pub mod exec;
 pub mod faultpoint;
 pub mod frame;
 pub mod plan;
-pub mod pool;
 pub mod reader;
 pub mod salvage;
 pub mod scrub;
@@ -100,7 +99,7 @@ pub const THREADS_ENV: &str = "NINEC_THREADS";
 
 /// The default worker-thread count: `NINEC_THREADS` if set to a positive
 /// integer, else [`std::thread::available_parallelism`], clamped to
-/// [`pool::MAX_THREADS`].
+/// [`exec::MAX_THREADS`].
 #[must_use]
 pub fn default_threads() -> usize {
     let env = std::env::var(THREADS_ENV)
@@ -112,7 +111,7 @@ pub fn default_threads() -> usize {
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1)
     });
-    n.clamp(1, pool::MAX_THREADS)
+    n.clamp(1, exec::MAX_THREADS)
 }
 
 /// Error from framing a stream: either the block size is invalid or a
@@ -182,7 +181,7 @@ impl EngineBuilder {
     /// `NINEC_THREADS` environment variable, else the machine's available
     /// parallelism). `1` selects the serial in-caller fallback.
     pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.clamp(1, pool::MAX_THREADS));
+        self.threads = Some(threads.clamp(1, exec::MAX_THREADS));
         self
     }
 
@@ -213,8 +212,8 @@ impl EngineBuilder {
     /// segments (interleaved — see [`frame::group_of`]) are protected by
     /// `r` GF(256) Reed–Solomon parity segments, and the frame is
     /// emitted as **v3**. Up to `r` damaged segments per group can be
-    /// rebuilt byte-exactly by
-    /// [`decode_frame_repair`](Engine::decode_frame_repair).
+    /// rebuilt byte-exactly by the repair rung,
+    /// [`execute_plan`](Engine::execute_plan) at [`Policy::Repair`].
     ///
     /// `r = 0` disables parity (plain v2 frames, the default). Invalid
     /// geometry (`g = 0` with `r > 0`, or `g + r >`
@@ -374,7 +373,7 @@ impl Engine {
         let t0 = ninec_obs::runtime_enabled().then(std::time::Instant::now);
         let ranges = Self::segment_ranges(stream.len(), self.segment_len(k));
         let parts: Vec<(TritVec, EncodeTotals)> =
-            pool::map_indexed(self.threads, ranges.len(), |i| {
+            exec::map_indexed(self.threads, ranges.len(), |i| {
                 let (start, end) = ranges[i];
                 encode_segment(&encoder, stream, start, end)
             });
@@ -439,7 +438,7 @@ impl Engine {
             .map(|&k| Encoder::with_table(k, self.table.clone()))
             .collect::<Result<Vec<_>, _>>()?;
         let ranges = Self::segment_ranges(stream.len(), self.segment_len(first));
-        let parts: Vec<(usize, TritVec)> = pool::map_indexed(self.threads, ranges.len(), |i| {
+        let parts: Vec<(usize, TritVec)> = exec::map_indexed(self.threads, ranges.len(), |i| {
             let (start, end) = ranges[i];
             let t0 = ninec_obs::runtime_enabled().then(std::time::Instant::now);
             let enc = if encoders.len() == 1 {
@@ -548,8 +547,9 @@ impl Engine {
     ///   fails 9C decoding.
     ///
     /// Never panics on hostile input. For decode-what-you-can recovery
-    /// instead of fail-closed, see
-    /// [`decode_frame_salvage`](Engine::decode_frame_salvage).
+    /// instead of fail-closed, run [`build_plan`](Engine::build_plan)
+    /// and [`execute_plan`](Engine::execute_plan) at [`Policy::Repair`]
+    /// or [`Policy::Salvage`].
     pub fn decode_frame(&self, bytes: &[u8]) -> Result<TritVec, DecodeError> {
         let _span = ninec_obs::span("engine_decode_frame");
         // One fail-fast plan build (a single header/CRC scan pass) pins
@@ -559,8 +559,8 @@ impl Engine {
         plan::execute_strict(self, &built).map(|report| report.trits)
     }
 
-    /// Decodes one parsed segment — the shared per-task body of
-    /// [`decode_frame`](Engine::decode_frame) and the salvage path.
+    /// Decodes one parsed segment — the shared per-task body of every
+    /// decode: strict, repair, salvage and streaming.
     /// Armed [`faultpoint`]s fire here (panic/delay before the work,
     /// corrupt after), which is what makes worker panics and torn writes
     /// deterministically injectable.
@@ -835,7 +835,7 @@ mod tests {
         std::env::set_var(THREADS_ENV, "garbage");
         assert!(default_threads() >= 1);
         std::env::set_var(THREADS_ENV, "99999");
-        assert_eq!(default_threads(), pool::MAX_THREADS);
+        assert_eq!(default_threads(), exec::MAX_THREADS);
         std::env::remove_var(THREADS_ENV);
         assert!(default_threads() >= 1);
     }

@@ -187,7 +187,7 @@ impl Archive {
                     std::collections::hash_map::Entry::Vacant(slot) => {
                         let blob = self.read_blob(&mut file, b.offset, b.len)?;
                         let ok = matches!(
-                            frame::segment_at(&blob, 0, entry, &limits),
+                            frame::segment_at(&blob, 0, entry, &limits, None),
                             Ok((_, end)) if end == blob.len()
                         );
                         *slot.insert(ok)
@@ -204,7 +204,7 @@ impl Archive {
                     std::collections::hash_map::Entry::Vacant(slot) => {
                         let blob = self.read_blob(&mut file, b.offset, b.len)?;
                         let ok = matches!(
-                            frame::parity_at(&blob, 0, n + j, &limits),
+                            frame::parity_at(&blob, 0, n + j, &limits, None),
                             Ok((_, end)) if end == blob.len()
                         );
                         *slot.insert(ok)
@@ -387,7 +387,8 @@ impl Archive {
         for (j, blob) in parity_bytes.iter().enumerate() {
             match blob {
                 Some(bytes) => {
-                    let Ok((par, _)) = frame::parity_at(bytes, 0, n + q * r + j, &limits) else {
+                    let Ok((par, _)) = frame::parity_at(bytes, 0, n + q * r + j, &limits, None)
+                    else {
                         return Ok(false);
                     };
                     match shard_len {
@@ -437,7 +438,7 @@ impl Archive {
                 // own CRC and the index's recorded content digest —
                 // byte-exact restoration or nothing.
                 let crc_ok = matches!(
-                    frame::segment_at(&blob, 0, idx, &limits),
+                    frame::segment_at(&blob, 0, idx, &limits, None),
                     Ok((_, end)) if end == blob.len()
                 );
                 if !crc_ok || blob_digest(&blob) != record.digest {

@@ -25,10 +25,8 @@
 //! actually happened (`rung`), carries the damage map when the ladder
 //! advanced past strict (`report`) and, with
 //! [`audit(true)`](DecodeSession::audit), the per-segment
-//! [`DecodeAudit`] rollup. The pre-0.5.0 entries
-//! `decode_frame_salvage` / `decode_frame_repair` /
-//! `decode_frame_audited` survive as deprecated shims; see the README's
-//! migration table.
+//! [`DecodeAudit`] rollup. (The pre-0.5.0 per-rung frame entries are
+//! gone; see the README's migration table.)
 //!
 //! For frame bytes the session can also expose the decode plan itself:
 //! [`plan`](DecodeSession::plan) runs the single header/CRC scan pass
@@ -58,7 +56,7 @@ pub use ninec_obs::RungKind;
 
 /// What one [`DecodeSession::decode_frame`] call actually did.
 ///
-/// One value answers the three questions the four pre-0.5.0 entry
+/// One value answers the three questions the pre-0.5.0 per-rung entry
 /// points each answered differently: the recovered stream (`trits`),
 /// how it was recovered (`rung`, plus `report` when the ladder advanced
 /// past strict) and, when [`audit`](DecodeSession::audit) is on, the
@@ -103,8 +101,6 @@ pub struct DecodeSession {
     source_len: Option<usize>,
     threads: Option<usize>,
     limits: Option<DecodeLimits>,
-    salvage: bool,
-    repair: bool,
     audit: bool,
     cancel: Option<crate::CancelToken>,
 }
@@ -148,30 +144,6 @@ impl DecodeSession {
     /// oversized frames, or tighten them when the input is hostile.
     pub fn limits(mut self, limits: DecodeLimits) -> Self {
         self.limits = Some(limits);
-        self
-    }
-
-    /// Pre-0.5.0 salvage-mode toggle for the deprecated frame entries.
-    /// The unified [`decode_frame`](DecodeSession::decode_frame) takes
-    /// the ladder ceiling as its [`Policy`] argument instead.
-    #[deprecated(
-        since = "0.5.0",
-        note = "pass Policy::Salvage to decode_frame(bytes, policy) instead"
-    )]
-    pub fn salvage(mut self, salvage: bool) -> Self {
-        self.salvage = salvage;
-        self
-    }
-
-    /// Pre-0.5.0 repair-rung toggle for the deprecated frame entries.
-    /// The unified [`decode_frame`](DecodeSession::decode_frame) takes
-    /// the ladder ceiling as its [`Policy`] argument instead.
-    #[deprecated(
-        since = "0.5.0",
-        note = "pass Policy::Repair to decode_frame(bytes, policy) instead"
-    )]
-    pub fn repair(mut self, repair: bool) -> Self {
-        self.repair = repair;
         self
     }
 
@@ -285,8 +257,7 @@ impl DecodeSession {
         if self.audit {
             let trace = ninec_obs::begin_trace();
             let result = {
-                // Same span shape as the pre-0.5.0 audited entry: the
-                // whole ladder under one `decode_frame` span.
+                // The whole ladder under one `decode_frame` span.
                 let _frame_span = ninec_obs::trace_span_scope(
                     "decode_frame",
                     ninec_obs::NO_SEGMENT,
@@ -345,68 +316,6 @@ impl DecodeSession {
             audit,
             rung,
         }
-    }
-
-    /// Pre-0.5.0 salvage entry. Equivalent to
-    /// [`decode_frame(bytes, Policy::Salvage)`](DecodeSession::decode_frame)
-    /// — or `Policy::Repair` when the deprecated `repair` toggle is set —
-    /// except the returned report keeps its own `trits`.
-    #[deprecated(
-        since = "0.5.0",
-        note = "use decode_frame(bytes, Policy::Salvage) and read the outcome's report"
-    )]
-    pub fn decode_frame_salvage(&self, bytes: &[u8]) -> Result<SalvageReport, DecodeError> {
-        if self.repair {
-            return self.engine().decode_frame_repair(bytes);
-        }
-        self.engine().decode_frame_salvage(bytes)
-    }
-
-    /// Pre-0.5.0 full-ladder entry. Equivalent to
-    /// [`decode_frame(bytes, Policy::Repair)`](DecodeSession::decode_frame)
-    /// except the returned report keeps its own `trits`.
-    #[deprecated(
-        since = "0.5.0",
-        note = "use decode_frame(bytes, Policy::Repair) and read the outcome's report"
-    )]
-    pub fn decode_frame_repair(&self, bytes: &[u8]) -> Result<SalvageReport, DecodeError> {
-        self.engine().decode_frame_repair(bytes)
-    }
-
-    /// Pre-0.5.0 audited entry. Equivalent to
-    /// [`decode_frame`](DecodeSession::decode_frame) on a session built
-    /// with [`audit(true)`](DecodeSession::audit), with the ladder
-    /// ceiling taken from the deprecated `repair`/`salvage` toggles.
-    #[deprecated(
-        since = "0.5.0",
-        note = "use audit(true).decode_frame(bytes, policy) and read the outcome's audit"
-    )]
-    pub fn decode_frame_audited(
-        &self,
-        bytes: &[u8],
-    ) -> Result<(SalvageReport, DecodeAudit), DecodeError> {
-        let trace = ninec_obs::begin_trace();
-        let result = {
-            let _frame_span = ninec_obs::trace_span_scope(
-                "decode_frame",
-                ninec_obs::NO_SEGMENT,
-                ninec_obs::TracePayload::None,
-            );
-            let engine = self.engine();
-            engine.build_plan(bytes).and_then(|plan| {
-                match engine.execute_plan(&plan, Policy::Strict) {
-                    Ok(report) => Ok(report),
-                    Err(_) if self.repair => engine.execute_plan(&plan, Policy::Repair),
-                    Err(_) if self.salvage => engine.execute_plan(&plan, Policy::Salvage),
-                    Err(e) => Err(e),
-                }
-            })
-        };
-        // Flush on every exit: DecodeError included.
-        ninec_obs::flush_thread_trace();
-        let report = result?;
-        let audit = DecodeAudit::collect(trace, &report);
-        Ok((report, audit))
     }
 
     /// Builds the [`FramePlan`] for a `9CSF` frame: one header/CRC scan

@@ -16,7 +16,7 @@ echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
 # The sharded engine forbids unwrap() outright (deny(clippy::unwrap_used)
-# at the engine module root, which covers the frame and pool submodules);
+# at the engine module root, which covers the frame and exec submodules);
 # guard the attribute so a refactor can't silently drop it.
 echo "==> engine unwrap_used deny guard"
 grep -q '^#!\[deny(clippy::unwrap_used)\]' crates/core/src/engine/mod.rs || {
@@ -25,11 +25,11 @@ grep -q '^#!\[deny(clippy::unwrap_used)\]' crates/core/src/engine/mod.rs || {
 }
 
 # The untrusted-input parsers go further: no unwrap() *or* expect() at all
-# outside #[cfg(test)] in frame.rs (hostile bytes), pool.rs (panic
-# isolation), ecc.rs (GF(256) reconstruction feeds on damaged frames),
-# reader.rs (streaming bytes straight off a pipe), plan.rs (the one-pass
-# scan classifying hostile slots), exec.rs (the priority executor under
-# every decode) and cancel.rs (the cancellation token checked on every
+# outside #[cfg(test)] in frame.rs (hostile bytes), ecc.rs (GF(256)
+# reconstruction feeds on damaged frames), reader.rs (streaming bytes
+# straight off a pipe), plan.rs (the one frame walker classifying hostile
+# slots), exec.rs (the priority executor under every job, with its panic
+# isolation) and cancel.rs (the cancellation token checked on every
 # worker's hot path) — every failure there must be a typed error or a
 # poisoned result slot, never an abort. The whole serve crate is held to
 # the same bar: every byte it parses arrived over a socket from an
@@ -40,9 +40,8 @@ grep -q '^#!\[deny(clippy::unwrap_used)\]' crates/core/src/engine/mod.rs || {
 # months, and a panic there takes the whole archive tier down instead of
 # surfacing a typed Degraded/Lost verdict. crc.rs checksums every one of
 # those byte streams, resync probes on hostile bytes included.
-echo "==> frame/crc/pool/ecc/reader/plan/exec/cancel/archive/scrub/serve no-unwrap/expect guard"
+echo "==> frame/crc/ecc/reader/plan/exec/cancel/archive/scrub/serve no-unwrap/expect guard"
 for f in crates/core/src/engine/frame.rs crates/core/src/engine/crc.rs \
-         crates/core/src/engine/pool.rs \
          crates/core/src/engine/ecc.rs crates/core/src/engine/reader.rs \
          crates/core/src/engine/plan.rs crates/core/src/engine/exec.rs \
          crates/core/src/engine/cancel.rs \
@@ -57,6 +56,10 @@ done
 
 echo "==> cargo build --release"
 cargo build --release
+
+# Golden-file bless switches rewrite the goldens they guard and pass; an
+# exported one would turn every run below into a silent re-bless.
+unset CORPUS_BLESS OBS_BLESS OUTCOME_BLESS
 
 # Run the suite at both ends of the engine's thread spectrum: the serial
 # in-caller fallback and an oversubscribed pool. Output must be identical

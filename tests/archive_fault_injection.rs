@@ -23,6 +23,7 @@ use ninec::engine::archive::{self, Archive, ArchiveError, DATA_HEADER_BYTES, IND
 use ninec::engine::frame;
 use ninec::engine::scrub::{ScrubMode, ScrubVerdict};
 use ninec::engine::Engine;
+use ninec::{DecodeError, FrameError};
 use ninec_testdata::gen::SyntheticProfile;
 use ninec_testdata::trit::TritVec;
 
@@ -259,6 +260,49 @@ fn torn_tail_bytes_are_ignored_and_reclaimed() {
             "torn tail must be reclaimed by the append"
         );
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Regression: an append used to skip strict decode's frame-level
+/// checks, so a CRC-valid frame whose header total disagrees with its
+/// segments committed — and the next `open` refused the whole archive.
+/// The append now fails with strict decode's own error and commits
+/// nothing.
+#[test]
+fn a_strictly_invalid_append_commits_nothing() {
+    let eng = engine(2);
+    let good = eng.encode_frame(8, &stream(7)).expect("frame 0");
+    // The same segments under a header claiming one trit more, with a
+    // valid header CRC.
+    let segments = u32::from_le_bytes(good[15..19].try_into().expect("4 bytes"));
+    let total = u64::from_le_bytes(good[19..27].try_into().expect("8 bytes"));
+    let mut lengths = [0u8; 9];
+    lengths.copy_from_slice(&good[6..15]);
+    let mut bad = Vec::new();
+    frame::write_header(&mut bad, lengths, segments, total + 1);
+    bad.extend_from_slice(&good[frame::HEADER_BYTES..]);
+    let strict = eng
+        .decode_frame(&bad)
+        .expect_err("strict decode rejects it");
+    assert!(matches!(
+        strict,
+        DecodeError::Frame(FrameError::Malformed {
+            what: "segment source lengths do not sum to the header total",
+            ..
+        })
+    ));
+
+    let dir = tempdir("arc_strict_append");
+    let path = dir.join("t.9ca");
+    let mut arc = Archive::create(&path, &eng).expect("create");
+    arc.append_frame(&good).expect("append frame 0");
+    match arc.append_frame(&bad) {
+        Err(ArchiveError::Frame(e)) => assert_eq!(DecodeError::from(e), strict),
+        other => panic!("expected strict decode's error, got {other:?}"),
+    }
+    let reopened = Archive::open(&path, &eng).expect("reopen");
+    assert_eq!(reopened.frame_count(), 1);
+    assert_eq!(reopened.extract_frame(0).expect("extract frame 0"), good);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -20,9 +20,9 @@
 //! [`ninec::engine::faultpoint`] and checks panic isolation at 1 and 8
 //! threads.
 
-use ninec::engine::frame::{self, DecodeLimits, ScanEntry, HEADER_BYTES, SEGMENT_HEADER_BYTES};
-use ninec::engine::Engine;
-use ninec::{DecodeError, FrameError};
+use ninec::engine::frame::{self, DecodeLimits, HEADER_BYTES, SEGMENT_HEADER_BYTES};
+use ninec::engine::{Engine, SalvageReport};
+use ninec::{DecodeError, FrameError, PlanEntry, Policy};
 use ninec_testdata::gen::SyntheticProfile;
 use ninec_testdata::trit::{Trit, TritVec};
 use proptest::prelude::*;
@@ -39,6 +39,20 @@ fn golden(seed: u64) -> (TritVec, Vec<u8>) {
 
 fn engine(threads: usize) -> Engine {
     Engine::builder().threads(threads).segment_bits(256).build()
+}
+
+/// The salvage rung on a fresh plan of `bytes`.
+fn salvage(engine: &Engine, bytes: &[u8]) -> Result<SalvageReport, DecodeError> {
+    engine
+        .build_plan(bytes)
+        .and_then(|plan| engine.execute_plan(&plan, Policy::Salvage))
+}
+
+/// The repair rung on a fresh plan of `bytes`.
+fn repair(engine: &Engine, bytes: &[u8]) -> Result<SalvageReport, DecodeError> {
+    engine
+        .build_plan(bytes)
+        .and_then(|plan| engine.execute_plan(&plan, Policy::Repair))
 }
 
 /// Care-bit-compatible equality: every care bit of `a` survives in `b`.
@@ -73,7 +87,7 @@ fn check_mutant(original: &TritVec, clean: &[u8], mutant: &[u8], mutated_at: Opt
 
     // Salvage mode: file-level damage is fatal; anything at or past the
     // first segment must yield a report with an accurate damage map.
-    match engine(2).decode_frame_salvage(mutant) {
+    match salvage(&engine(2), mutant) {
         Err(e) => {
             let _ = e.to_string();
             if let Some(at) = mutated_at {
@@ -184,7 +198,7 @@ fn check_mutant_v3(original: &TritVec, mutant: &[u8], mutated_at: Option<usize>)
         }
     }
     // Arms 2/3/4: the repair ladder.
-    match engine_v3(2, 2, 1).decode_frame_repair(mutant) {
+    match repair(&engine_v3(2, 2, 1), mutant) {
         Err(e) => {
             let _ = e.to_string();
         }
@@ -273,8 +287,7 @@ fn exhaustive_truncation_sweep() {
         if cut >= HEADER_BYTES + SEGMENT_HEADER_BYTES {
             // Once the file header and at least one segment header fit,
             // salvage must produce a full-length report.
-            let report = engine(1)
-                .decode_frame_salvage(mutant)
+            let report = salvage(&engine(1), mutant)
                 .expect("salvage survives truncation past the file header");
             assert_eq!(report.trits.len(), original.len());
         }
@@ -309,9 +322,7 @@ fn exhaustive_single_byte_mutation_sweep_v3() {
     for r in &data {
         let mut mutant = clean.clone();
         mutant[r.start + SEGMENT_HEADER_BYTES] ^= 0x55;
-        let report = engine_v3(2, 2, 1)
-            .decode_frame_repair(&mutant)
-            .expect("repair runs");
+        let report = repair(&engine_v3(2, 2, 1), &mutant).expect("repair runs");
         assert!(report.is_full_recovery(), "segment at {r:?} not repaired");
         assert_eq!(report.trits, clean_out, "repair must be bit-exact");
     }
@@ -331,9 +342,8 @@ fn exhaustive_truncation_sweep_v3() {
         if cut >= data_end {
             // All data present, parity torn: strict decode rejects the
             // malformed tail, but the ladder recovers everything.
-            let report = engine_v3(1, 2, 1)
-                .decode_frame_repair(mutant)
-                .expect("ladder survives parity truncation");
+            let report =
+                repair(&engine_v3(1, 2, 1), mutant).expect("ladder survives parity truncation");
             assert!(
                 report.is_full_recovery(),
                 "cut at {cut} lost data despite all segments being present"
@@ -354,7 +364,7 @@ fn trailing_garbage_is_detected() {
             engine(1).decode_frame(&mutant).is_err(),
             "{extra} garbage bytes accepted"
         );
-        let report = engine(1).decode_frame_salvage(&mutant).unwrap();
+        let report = salvage(&engine(1), &mutant).unwrap();
         assert_eq!(report.trits.len(), original.len());
         assert!(covers(&original, &report.trits));
     }
@@ -377,16 +387,16 @@ fn limits_bound_the_sweep() {
     ));
 }
 
-/// Byte ranges of the clean frame's segments, via the salvage scanner.
+/// Byte ranges of the clean frame's segments, via its decode plan.
 fn segment_ranges(clean: &[u8]) -> Vec<std::ops::Range<usize>> {
-    let scan = frame::scan_salvage(clean, &DecodeLimits::default()).unwrap();
-    scan.entries
+    let plan = engine(1).build_plan(clean).unwrap();
+    plan.entries()
         .iter()
         .map(|e| match e {
-            ScanEntry::Intact { byte_range, .. } | ScanEntry::Parity { byte_range, .. } => {
+            PlanEntry::Data { byte_range, .. } | PlanEntry::Parity { byte_range, .. } => {
                 byte_range.clone()
             }
-            ScanEntry::Damaged { .. } => panic!("golden frame must scan clean"),
+            _ => panic!("golden frame must scan clean"),
         })
         .collect()
 }
@@ -395,13 +405,13 @@ fn segment_ranges(clean: &[u8]) -> Vec<std::ops::Range<usize>> {
 /// parity shards after the data, so the repair campaigns corrupt data by
 /// index).
 fn data_segment_ranges(clean: &[u8]) -> Vec<std::ops::Range<usize>> {
-    let scan = frame::scan_salvage(clean, &DecodeLimits::default()).unwrap();
-    scan.entries
+    let plan = engine(1).build_plan(clean).unwrap();
+    plan.entries()
         .iter()
         .filter_map(|e| match e {
-            ScanEntry::Intact { byte_range, .. } => Some(byte_range.clone()),
-            ScanEntry::Parity { .. } => None,
-            ScanEntry::Damaged { .. } => panic!("golden frame must scan clean"),
+            PlanEntry::Data { byte_range, .. } => Some(byte_range.clone()),
+            PlanEntry::Parity { .. } => None,
+            _ => panic!("golden frame must scan clean"),
         })
         .collect()
 }
@@ -426,7 +436,7 @@ proptest! {
             Ok(out) => prop_assert_eq!(out.len(), original.len()),
             Err(e) => { let _ = e.to_string(); }
         }
-        if let Ok(report) = engine(2).decode_frame_salvage(&mutant) {
+        if let Ok(report) = salvage(&engine(2), &mutant) {
             prop_assert_eq!(report.trits.len(), original.len());
             prop_assert!(report.recovered_segments <= report.total_segments);
         }
@@ -475,7 +485,7 @@ proptest! {
             Ok(out) => prop_assert_eq!(out.len(), original.len()),
             Err(e) => { let _ = e.to_string(); }
         }
-        if let Ok(report) = engine(2).decode_frame_salvage(&mutant) {
+        if let Ok(report) = salvage(&engine(2), &mutant) {
             // Salvage always honours the (CRC-valid) header's source length.
             prop_assert_eq!(report.trits.len(), original.len());
         }
@@ -523,7 +533,7 @@ proptest! {
         // Strict decode rejects the damage...
         prop_assert!(eng.decode_frame(&mutant).is_err());
         // ...and the ladder rebuilds it bit-exact.
-        let report = eng.decode_frame_repair(&mutant).expect("repair runs");
+        let report = repair(&eng, &mutant).expect("repair runs");
         prop_assert!(
             report.is_full_recovery(),
             "k={} threads={} damaged={:?}: {:?}",
@@ -550,7 +560,7 @@ proptest! {
             Ok(out) => prop_assert_eq!(out.len(), engine_claimed_len(&mutant)),
             Err(e) => { let _ = e.to_string(); }
         }
-        if let Ok(report) = engine(1).decode_frame_salvage(&mutant) {
+        if let Ok(report) = salvage(&engine(1), &mutant) {
             prop_assert_eq!(report.trits.len(), engine_claimed_len(&mutant));
             // The transplanted segments still decode somewhere.
             prop_assert!(report.total_segments >= report.recovered_segments);
@@ -560,8 +570,8 @@ proptest! {
 
 /// The source length the (CRC-valid) file header claims.
 fn engine_claimed_len(bytes: &[u8]) -> usize {
-    let scan = frame::scan_salvage(bytes, &DecodeLimits::unlimited()).unwrap();
-    scan.source_len
+    let unlimited = Engine::builder().limits(DecodeLimits::unlimited()).build();
+    unlimited.build_plan(bytes).unwrap().source_len()
 }
 
 // ---------------------------------------------------------------------------
@@ -689,7 +699,7 @@ fn corpus_replay() {
                 if let Ok(out) = engine(2).decode_frame(&bytes) {
                     assert_eq!(out.len(), engine_claimed_len(&bytes), "{name}");
                 }
-                if let Ok(report) = engine(2).decode_frame_salvage(&bytes) {
+                if let Ok(report) = salvage(&engine(2), &bytes) {
                     assert_eq!(report.trits.len(), engine_claimed_len(&bytes), "{name}");
                 }
             }
@@ -708,14 +718,14 @@ fn corpus_replay() {
         engine(1).decode_frame(&bomb),
         Err(DecodeError::LimitExceeded { .. }) | Err(DecodeError::TruncatedStream { .. })
     ));
-    assert!(engine(1).decode_frame_salvage(&bomb).is_err());
+    assert!(salvage(&engine(1), &bomb).is_err());
 
     let bad = read("bad_crc.9cf");
     assert!(matches!(
         engine(1).decode_frame(&bad),
         Err(DecodeError::Frame(FrameError::BadCrc { segment: 1 }))
     ));
-    let report = engine(1).decode_frame_salvage(&bad).unwrap();
+    let report = salvage(&engine(1), &bad).unwrap();
     assert_eq!(report.damaged.len(), 1);
     assert_eq!(report.damaged[0].index, 1);
     assert_eq!(report.recovered_segments, report.total_segments - 1);
@@ -725,20 +735,19 @@ fn corpus_replay() {
         engine(1).decode_frame(&trunc),
         Err(DecodeError::TruncatedStream { .. }) | Err(DecodeError::Frame(_))
     ));
-    let report = engine(1).decode_frame_salvage(&trunc).unwrap();
+    let report = salvage(&engine(1), &trunc).unwrap();
     assert_eq!(report.trits.len(), original.len());
     assert!(!report.is_full_recovery());
 
     let spliced = read("spliced.9cf");
     assert!(engine(1).decode_frame(&spliced).is_err());
-    let report = engine(1).decode_frame_salvage(&spliced).unwrap();
+    let report = salvage(&engine(1), &spliced).unwrap();
     assert_eq!(report.trits.len(), original.len());
 
     let forged = read("forged_expansion.9cf");
     assert!(engine(1).decode_frame(&forged).is_err());
     assert!(
-        engine(1)
-            .decode_frame_salvage(&forged)
+        salvage(&engine(1), &forged)
             .map(|r| r.trits.len())
             .unwrap_or(1 << 20)
             == 1 << 20,
@@ -754,7 +763,7 @@ fn corpus_replay() {
     // lost segment bit-exact, and the damage map says which parity did it.
     let repairable = read("v3_repairable.9cf");
     assert!(engine_v3(1, 2, 1).decode_frame(&repairable).is_err());
-    let report = engine_v3(2, 2, 1).decode_frame_repair(&repairable).unwrap();
+    let report = repair(&engine_v3(2, 2, 1), &repairable).unwrap();
     assert!(report.is_full_recovery(), "{:?}", report.damaged);
     assert_eq!(report.trits, clean_v3_out, "repair must be bit-exact");
     assert_eq!(
@@ -769,7 +778,7 @@ fn corpus_replay() {
     // Two losses in one group beat r = 1: repair refuses to guess and the
     // ladder degrades to accurate erasure (both segments X-ed out).
     let over = read("v3_over_budget.9cf");
-    let report = engine_v3(2, 2, 1).decode_frame_repair(&over).unwrap();
+    let report = repair(&engine_v3(2, 2, 1), &over).unwrap();
     assert!(!report.is_full_recovery());
     assert_eq!(
         report
@@ -784,7 +793,7 @@ fn corpus_replay() {
 
     // A corrupted parity shard costs zero output trits: full recovery.
     let bad_parity = read("v3_bad_parity.9cf");
-    let report = engine_v3(2, 2, 1).decode_frame_repair(&bad_parity).unwrap();
+    let report = repair(&engine_v3(2, 2, 1), &bad_parity).unwrap();
     assert!(report.is_full_recovery(), "{:?}", report.damaged);
     assert!(covers(&original_v3, &report.trits));
 
@@ -793,7 +802,7 @@ fn corpus_replay() {
     let clothed = read("v3_v2_in_v3_clothing.9cf");
     let strict = engine(1).decode_frame(&clothed).expect("decodes strict");
     assert!(covers(&original, &strict));
-    let report = engine(1).decode_frame_repair(&clothed).unwrap();
+    let report = repair(&engine(1), &clothed).unwrap();
     assert!(report.is_full_recovery());
     assert_eq!(report.trits, strict);
 }
@@ -839,7 +848,7 @@ mod failpoints {
                 other => panic!("threads={threads}: expected WorkerPanicked, got {other:?}"),
             }
 
-            let report = eng.decode_frame_salvage(&clean).unwrap();
+            let report = salvage(&eng, &clean).unwrap();
             assert_eq!(report.trits.len(), original.len(), "threads={threads}");
             assert_eq!(report.damaged.len(), 1, "threads={threads}");
             assert_eq!(report.damaged[0].index, 5);
@@ -872,7 +881,7 @@ mod failpoints {
                 eng.decode_frame(&clean),
                 Err(DecodeError::WorkerPanicked { segment: 0 })
             ));
-            let report = eng.decode_frame_salvage(&clean).unwrap();
+            let report = salvage(&eng, &clean).unwrap();
             assert_eq!(report.recovered_segments, 0);
             assert_eq!(report.trits.len(), original.len());
             assert!(report.trits.iter().all(|t| t == Trit::X));

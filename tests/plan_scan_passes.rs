@@ -1,8 +1,7 @@
-//! Proves the tentpole "one scan pass" claim end to end via the
+//! Proves the "one scan pass" claim end to end via the
 //! `ninec.frame.scan_passes` counter: building one [`FramePlan`] and
 //! driving the *entire* strict → repair → salvage ladder against it
-//! costs exactly one header/CRC scan of the frame, where the classic
-//! entry points cost one scan each.
+//! costs exactly one header/CRC scan of the frame.
 //!
 //! Everything lives in one `#[test]` because the [`ninec_obs`] registry
 //! is process global — this file is its own integration-test binary so
@@ -55,16 +54,4 @@ fn whole_ladder_costs_one_scan_pass() {
     assert_eq!(repair.trits, strict_reference);
     let salvage = salvage.expect("salvage rung runs");
     assert!(!salvage.is_full_recovery());
-
-    // The classic entry points: one scan pass *each* — three to walk
-    // the same ladder (this is the 3→1 the benchmark records).
-    let before = scan_passes();
-    let _ = engine.decode_frame(&damaged);
-    let _ = engine.decode_frame_repair(&damaged);
-    let _ = engine.decode_frame_salvage(&damaged);
-    let classic_passes = scan_passes() - before;
-    assert_eq!(
-        classic_passes, 3,
-        "classic ladder entry points scan once each"
-    );
 }
