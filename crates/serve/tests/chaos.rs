@@ -8,46 +8,14 @@
 
 use ninec_serve::{
     ChaosConfig, ChaosProxy, Client, ClientError, ClientOptions, RetryPolicy, RetryingClient,
-    ServeConfig, Server, Status,
+    ServeConfig, Status,
 };
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-const STREAM: &str = "0X0X00XX1111X11101X0";
-
-/// Runs `body` on a helper thread and panics if it does not finish
-/// within `limit` — the suite's no-hang guarantee.
-fn watchdog<T: Send + 'static>(
-    limit: Duration,
-    name: &str,
-    body: impl FnOnce() -> T + Send + 'static,
-) -> T {
-    let (tx, rx) = std::sync::mpsc::channel();
-    let handle = std::thread::spawn(move || {
-        let _ = tx.send(body());
-    });
-    match rx.recv_timeout(limit) {
-        Ok(value) => {
-            let _ = handle.join();
-            value
-        }
-        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
-            // The body panicked — re-raise its message, not a fake hang.
-            match handle.join() {
-                Err(panic) => std::panic::resume_unwind(panic),
-                Ok(()) => panic!("{name} exited without sending a result"),
-            }
-        }
-        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-            panic!("{name} hung past the {limit:?} watchdog")
-        }
-    }
-}
-
-fn start(config: ServeConfig) -> Server {
-    Server::start(config).expect("ephemeral loopback server starts")
-}
+mod common;
+use common::{start, watchdog, STREAM};
 
 #[test]
 fn torn_responses_retry_to_bit_exact_success() {

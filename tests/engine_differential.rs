@@ -18,7 +18,7 @@ use proptest::prelude::*;
 const K_DIFF: [usize; 4] = [4, 8, 16, 32];
 
 /// Thread counts the sweep covers (1 = the serial in-caller fallback).
-const THREADS: [usize; 3] = [1, 2, 8];
+const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 fn arb_trit() -> impl Strategy<Value = Trit> {
     prop_oneof![

@@ -22,6 +22,7 @@
 
 use ninec::engine::frame::{self, DecodeLimits, HEADER_BYTES, SEGMENT_HEADER_BYTES};
 use ninec::engine::{Engine, SalvageReport};
+use ninec::session::DecodeSession;
 use ninec::{DecodeError, FrameError, PlanEntry, Policy};
 use ninec_testdata::gen::SyntheticProfile;
 use ninec_testdata::trit::{Trit, TritVec};
@@ -384,6 +385,22 @@ fn limits_bound_the_sweep() {
     assert!(matches!(
         starved.decode_frame(&clean),
         Err(DecodeError::LimitExceeded { .. }) | Err(DecodeError::Frame(_))
+    ));
+    // A hostile per-segment ceiling of one trit: the public session
+    // decode rejects the intact frame at its first segment, typed.
+    let hostile = DecodeLimits {
+        max_segment_trits: 1,
+        ..DecodeLimits::default()
+    };
+    assert!(matches!(
+        DecodeSession::new()
+            .limits(hostile)
+            .decode_frame(&clean, Policy::Strict),
+        Err(DecodeError::LimitExceeded {
+            what: "segment source trits",
+            limit: 1,
+            ..
+        })
     ));
 }
 

@@ -13,8 +13,8 @@ use ninec::stream::BitCounter;
 use ninec_testdata::trit::{Trit, TritVec};
 use proptest::prelude::*;
 
-/// The K values the differential suite sweeps (issue spec).
-const K_DIFF: [usize; 4] = [4, 8, 16, 32];
+/// The K values the differential suite sweeps, 4 through 64.
+const K_DIFF: [usize; 5] = [4, 8, 16, 32, 64];
 
 /// The chunk sizes the streaming suite sweeps (issue spec).
 const CHUNKS: [usize; 4] = [1, 7, 64, 4096];
@@ -74,7 +74,7 @@ proptest! {
     /// streaming encoder in chunks of any size yields output bit-identical
     /// to the one-shot encoder.
     #[test]
-    fn streaming_encoder_matches_oneshot(stream in arb_stream(600), k in 0usize..4) {
+    fn streaming_encoder_matches_oneshot(stream in arb_stream(600), k in 0..K_DIFF.len()) {
         let encoder = Encoder::new(K_DIFF[k]).unwrap();
         let oneshot = encoder.encode_stream(&stream);
         for chunk in CHUNKS {
@@ -89,7 +89,7 @@ proptest! {
     /// The streaming decoder reproduces the one-shot decode blockwise, for
     /// streams produced at every chunk size.
     #[test]
-    fn streaming_decoder_roundtrips(stream in arb_stream(600), k in 0usize..4) {
+    fn streaming_decoder_roundtrips(stream in arb_stream(600), k in 0..K_DIFF.len()) {
         let encoder = Encoder::new(K_DIFF[k]).unwrap();
         for chunk in CHUNKS {
             let encoded = encoder.encode_chunked(stream.chunks(chunk));
