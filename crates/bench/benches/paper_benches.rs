@@ -168,11 +168,11 @@ fn bench_table8_large(c: &mut Criterion) {
     group.finish();
 }
 
-/// Scalar reference vs word-parallel encode kernels (`BENCH_core`).
+/// Scalar reference vs word-parallel encode kernels.
 ///
-/// The authoritative Mbit/s record on the full 16 Mbit stream is produced
-/// by the `bench_core` binary; this group tracks the same ratio on a
-/// scaled stream so `cargo bench` regressions are caught early.
+/// End-to-end speed, with its spread, is measured by the `benchmark/`
+/// package; this group tracks the kernel ratio on a scaled stream so
+/// `cargo bench` regressions are caught early.
 fn bench_throughput(c: &mut Criterion) {
     let ibm = ibm_datasets_scaled(4); // ~1 Mbit: representative, bench-fast
     let stream = ibm[0].cubes.as_stream().clone();

@@ -6,14 +6,14 @@
 //! - [`tables`] — engines + renderers for Tables I–VIII and Figures 1–4;
 //! - [`ablation`] — code-granularity, codeword-assignment and X-fill
 //!   ablations;
-//! - [`mod@format`] — plain-text table rendering;
-//! - [`throughput`] — scalar vs word-parallel encode throughput
-//!   (`results/BENCH_core.json`).
+//! - [`mod@format`] — plain-text table rendering.
 //!
 //! Run `cargo run -p ninec-bench --release --bin tables -- all` to print
-//! everything; `cargo bench` runs the Criterion timing benches built on
-//! the same engines; `cargo run -p ninec-bench --release --bin bench_core`
-//! regenerates the throughput record.
+//! everything (`results/README.md` has the commands that regenerate the
+//! committed snapshot); `cargo bench` runs the Criterion timing benches
+//! built on the same engines; `cargo run -p ninec-bench --release --bin
+//! bench_core` checks the flight recorder's 5% decode budget. Speed is
+//! measured, with its spread, by the `benchmark/` package.
 
 #![warn(missing_docs)]
 
@@ -25,4 +25,3 @@ pub mod json;
 pub mod motivation;
 pub mod ndetect;
 pub mod tables;
-pub mod throughput;

@@ -2,8 +2,8 @@
 //!
 //! All metric names the `ninec` crate emits into the
 //! [`ninec_obs::global()`] registry are defined here as constants so
-//! exporter consumers (CLI `--stats`, `bench_core`'s `OBS_core.json`)
-//! can reference them without string drift.
+//! exporter consumers (CLI `--stats`, the `benchmark/` per-layer run,
+//! `tests/plan_scan_passes.rs`) can reference them without string drift.
 //!
 //! Publishing is *batched*: the streaming encoder/decoder tally into
 //! plain local structs on the hot path and flush once per run through

@@ -328,9 +328,9 @@ pub fn global() -> &'static Registry {
 static RUNTIME: AtomicBool = AtomicBool::new(true);
 
 /// Runtime kill switch consulted by the instrumentation call sites
-/// (flushes and span timers). Defaults to on; the `bench_core` binary
-/// toggles it to measure the obs-on vs obs-off throughput delta without
-/// a rebuild.
+/// (flushes and span timers). Defaults to on; the `benchmark/` package's
+/// traced bulk runs turn it off for every third decode, so one binary
+/// measures the obs-on vs obs-off delta without a rebuild.
 pub fn set_runtime_enabled(on: bool) {
     RUNTIME.store(on, Ordering::Relaxed);
 }
@@ -549,8 +549,8 @@ thread_local! {
 /// Flight-recorder kill switch, independent of the metrics switch but
 /// also gated by it: events are recorded only while *both*
 /// [`runtime_enabled`] and this switch are on. Defaults to on — the
-/// recorder is always-on at bounded memory; `bench_core` flips this to
-/// measure recorder-on vs recorder-off throughput in one binary.
+/// recorder is always-on at bounded memory; `bench_core`'s 5% budget
+/// flips this to time decodes with the recorder on and off.
 pub fn set_trace_enabled(on: bool) {
     TRACE_ON.store(on, Ordering::Relaxed);
 }

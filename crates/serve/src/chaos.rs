@@ -15,9 +15,9 @@
 //! Fault decisions are **deterministic**: each accepted connection's
 //! fate is a pure function of [`ChaosConfig::seed`] and the connection
 //! ordinal, so a failing chaos run replays byte-identically. The proxy
-//! is used by the `chaos` integration suite, `bench_serve`'s chaos row
-//! and the CI chaos smoke; it lives in the library (not `tests/`) so
-//! all three share one implementation.
+//! is used by the `chaos` and `soak` integration suites and the CI chaos
+//! smoke; it lives in the library (not `tests/`) so all three share one
+//! implementation.
 //!
 //! ```no_run
 //! use ninec_serve::{ChaosConfig, ChaosProxy};

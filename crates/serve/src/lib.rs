@@ -26,8 +26,8 @@
 //!   split) — also backing the `ninec client` CLI verb and the CI smoke
 //!   test;
 //! - [`chaos`] — a std-only fault-injection TCP proxy (delay, throttle,
-//!   torn writes, blackhole) that the chaos test suite, `bench_serve`
-//!   and the CI chaos smoke put in front of the server.
+//!   torn writes, blackhole) that the chaos and soak test suites and the
+//!   CI chaos smoke put in front of the server.
 //!
 //! Everything is `std`-only, in keeping with the workspace's
 //! vendored-dependency discipline.
