@@ -57,6 +57,22 @@ done
 echo "==> cargo build --release"
 cargo build --release
 
+# Paper-table drift guard: the committed snapshot in results/ must be
+# byte-for-byte what the `tables` bin prints at this commit (both runs
+# are deterministic and independent of the thread count). When a change
+# moves a number on purpose, regenerate both files with the commands in
+# results/README.md and update EXPERIMENTS.md in the same change.
+echo "==> paper tables drift guard"
+cargo build -q --release -p ninec-bench --bin tables
+tablesdir="$(mktemp -d)"
+trap 'rm -rf "$tablesdir"' EXIT
+./target/release/tables all > "$tablesdir/tables.txt"
+./target/release/tables --json table2 table4 table5 table6 table7 table8 \
+    > "$tablesdir/tables.json"
+cmp results/tables.txt "$tablesdir/tables.txt"
+cmp results/tables.json "$tablesdir/tables.json"
+rm -rf "$tablesdir"
+
 # Golden-file bless switches rewrite the goldens they guard and pass; an
 # exported one would turn every run below into a silent re-bless.
 unset CORPUS_BLESS OBS_BLESS OUTCOME_BLESS
@@ -105,6 +121,14 @@ echo "==> tenant isolation (NINEC_THREADS=8)"
 NINEC_THREADS=8 cargo test -q -p ninec-serve --test tenant_isolation
 NINEC_THREADS=8 cargo test -q -p ninec-serve --test tenant_isolation \
     --features failpoints
+
+# The benchmark's own self-test: every workload at a tiny size, the
+# printed metric names checked against BENCHMARK.json, and a corrupted
+# expected output must fail the run — so the one timing harness is
+# built and checked on every CI run. --locked turns a stale
+# benchmark/Cargo.lock into a failure instead of a silent rewrite.
+echo "==> benchmark self-test"
+cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml
 
 # Release-binary smoke test of the stats plumbing on a tiny CKT profile:
 # generate -> compress --stats json must emit a JSON document with the
