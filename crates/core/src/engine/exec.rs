@@ -1,75 +1,65 @@
-//! A reusable, std-only work-stealing executor with two job priorities.
+//! A reusable, std-only executor with two job priorities.
 //!
 //! The engine's unit of work is a *segment index*: all jobs are known up
 //! front, none spawns new ones, and every job writes exactly one result
 //! slot, returned in job-index order. What the executor adds over a
-//! plain pool is a **two-level priority**: every
-//! job is seeded as [`Priority::High`] or [`Priority::Low`], and no
-//! worker starts a `Low` job while any `High` job is still queued
-//! anywhere. The decode pipeline uses this to keep payload decodes
-//! (latency-critical, always needed) ahead of repair/salvage backfill
-//! work, and it is the executor a future `ninec-serve` can multiplex
-//! connections onto.
+//! plain parallel map is a **two-level priority**: every job is
+//! [`Priority::High`] or [`Priority::Low`], and no `Low` job is claimed
+//! while any `High` job is still unclaimed. The decode pipeline uses this
+//! to keep payload decodes (latency-critical, always needed) ahead of
+//! repair/salvage backfill work.
 //!
-//! Scheduling shape (per priority level): per-worker deques seeded round-robin, LIFO pops from the owner, FIFO
-//! steals from siblings. A worker drains `High` — its own deque, then
-//! every sibling's — before touching any `Low` deque; since jobs are
-//! only ever removed after seeding, a worker that finds every `High`
-//! deque empty has proof that every `High` job has already *started*.
+//! Scheduling shape: the claim order is built once — every `High` job in
+//! index order, then every `Low` job in index order — and workers take
+//! the next position from one atomic cursor (`fetch_add`) until the
+//! order runs out. The calling thread runs that loop as worker 0 beside
+//! `threads − 1` scoped spawns, so `threads = 1` spawns nothing and *is*
+//! the serial path. The priority rule is structural: a worker that
+//! claims a `Low` position has proof that every `High` position was
+//! claimed before it.
 //!
 //! Determinism: results are keyed by job index and collected in index
 //! order, so the returned vector is independent of worker interleaving.
-//! `threads <= 1` (or a single job) short-circuits to a serial in-caller
-//! loop that runs every `High` job in index order, then every `Low` job
-//! in index order.
 //!
 //! Panic isolation: every job runs under
 //! [`std::panic::catch_unwind`], so a panicking closure poisons only its
 //! own result slot — it surfaces as a [`JobPanic`] value while every
 //! other job's result is delivered intact, and the index-ordered merge
-//! can never deadlock on a missing slot. The serial fallback catches
-//! panics the same way, so `threads = 1` isolates identically to
-//! `threads = 8`. ([`map_indexed`], which the encode paths use, re-raises
-//! a job's panic instead: there a panic is a bug, not a decode verdict.)
+//! can never deadlock on a missing slot. ([`map_indexed`], which the
+//! encode paths use, re-raises a job's panic instead: there a panic is a
+//! bug, not a decode verdict.)
 //!
-//! Cancellation: [`run_cancellable`] threads an optional
-//! [`CancelToken`] through both paths. The token is checked *between*
-//! jobs — at the serial loop boundary and at the pooled pop boundary —
-//! so a tripped token abandons every not-yet-started job as
-//! [`JobOutcome::Cancelled`] (its closure never runs) while jobs
-//! already in flight finish and store real results. The deques then
-//! drain at queue-op speed, which is what lets `ninec-serve` reclaim a
-//! worker the moment a caller hangs up or a deadline passes.
+//! Cancellation: an optional [`CancelToken`] is checked at the claim
+//! boundary, never mid-job (see [`run_cancellable`]). The cursor then
+//! runs out at one atomic op per job, which is what lets `ninec-serve`
+//! reclaim a worker the moment a caller hangs up or a deadline passes.
 //!
 //! Telemetry (batched at job boundaries, never inside a job): each
-//! worker publishes its queue depth to the
-//! `ninec.engine.worker.<i>.queue_depth` gauge after every pop, and its
-//! steal/completion/busy-time tallies once at exit
-//! (`ninec.engine.steals`, `ninec.engine.segments`,
+//! worker, the caller included, publishes its completion and busy-time
+//! tallies once at exit (`ninec.engine.segments`,
 //! `ninec.engine.worker.<i>.busy_ns`). On top of the aggregates, every
 //! job runs inside a flight-recorder `"job"` span stamped with the
-//! worker id, the job's priority class and its queue-vs-steal
-//! provenance — the Fig 4c load imbalance as a reconstructable
-//! timeline. Workers inherit the submitting thread's trace context, and
-//! a caught panic flushes the worker's ring into the global recorder
-//! before the poisoned slot is reported.
+//! worker id and the job's priority class — the Fig 4c load imbalance as
+//! a reconstructable timeline. Spawned workers inherit the submitting
+//! thread's trace context, and a caught panic flushes the worker's ring
+//! into the global recorder before the poisoned slot is reported.
 
 use super::cancel::CancelToken;
-use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::OnceLock;
 
-/// Upper bound on worker threads — keeps the per-worker gauge family
-/// bounded and guards against absurd `NINEC_THREADS` values.
+/// Upper bound on worker threads — keeps the per-worker `busy_ns`
+/// counter family bounded and guards against absurd `NINEC_THREADS`
+/// values.
 pub const MAX_THREADS: usize = 256;
 
-/// Jobs admitted to any in-flight [`run_prioritized`] call, process-wide.
+/// Jobs admitted to any in-flight [`run_cancellable`] call, process-wide.
 static ACTIVE_JOBS: AtomicUsize = AtomicUsize::new(0);
 
 /// Current executor load: the number of jobs admitted to (queued on or
-/// running inside) every in-flight [`run_prioritized`] call in this
+/// running inside) every in-flight [`run_cancellable`] call in this
 /// process. The count is batch-grained — a call contributes all of its
 /// jobs from entry until *every* slot is merged — which is exactly the
 /// "work still outstanding" signal an admission controller wants:
@@ -100,15 +90,15 @@ impl Drop for ActiveBatch {
     }
 }
 
-/// Scheduling class of one job. `High` jobs are guaranteed to *start*
-/// before any `Low` job whose worker could see them queued; `Low` jobs
-/// are backfill that must never starve the critical path.
+/// Scheduling class of one job. Every `High` job is claimed before any
+/// `Low` job; `Low` jobs are backfill that must never starve the
+/// critical path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Priority {
-    /// Critical-path work (segment decodes): always scheduled first.
+    /// Critical-path work (segment decodes): always claimed first.
     High,
     /// Backfill work (repair reconstruction, salvage bookkeeping):
-    /// scheduled only when no `High` job is queued.
+    /// claimed only once every `High` job has been.
     Low,
 }
 
@@ -131,15 +121,15 @@ impl std::error::Error for JobPanic {}
 
 /// What became of one submitted job: its value, a caught panic, or an
 /// abandonment because the batch's [`CancelToken`] tripped before the
-/// job started. Jobs are never interrupted mid-run — a `Cancelled` slot
-/// means the closure was **never invoked** for that index.
+/// job was claimed. Jobs are never interrupted mid-run — a `Cancelled`
+/// slot means the closure was **never invoked** for that index.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobOutcome<T> {
     /// The job ran to completion.
     Done(T),
     /// The job panicked; the panic was caught at the slot boundary.
     Panicked(JobPanic),
-    /// The batch's [`CancelToken`] tripped before this job started.
+    /// The batch's [`CancelToken`] tripped before this job was claimed.
     Cancelled,
 }
 
@@ -163,24 +153,6 @@ fn run_caught<T>(thunk: impl FnOnce() -> T) -> Result<T, JobPanic> {
     }
 }
 
-/// One worker's pair of deques, one per priority level.
-#[derive(Default)]
-struct Queues {
-    high: VecDeque<usize>,
-    low: VecDeque<usize>,
-}
-
-/// Locks a worker's queues, recovering from poisoning. Jobs run
-/// *outside* the queue locks (the critical sections below are plain
-/// `VecDeque` ops that cannot panic), so a poisoned mutex can only mean
-/// a job panicked elsewhere — the queue data itself is still consistent.
-fn lock_queues<'a>(queues: &'a [Mutex<Queues>], w: usize) -> MutexGuard<'a, Queues> {
-    match queues[w].lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
 /// Runs `f(0..jobs)` across at most `threads` workers at
 /// [`Priority::High`] and returns the results in job-index order.
 ///
@@ -188,70 +160,38 @@ fn lock_queues<'a>(queues: &'a [Mutex<Queues>], w: usize) -> MutexGuard<'a, Queu
 ///
 /// Propagates a panic from `f` (re-raised on the calling thread after
 /// every worker has drained; no other job's result is lost first). Use
-/// [`run_prioritized`] to receive panics as values instead.
+/// [`run_cancellable`] to receive panics as values instead.
 pub fn map_indexed<T, F>(threads: usize, jobs: usize, f: F) -> Vec<T>
 where
     T: Send + Sync,
     F: Fn(usize) -> T + Sync,
 {
-    let mut out = Vec::with_capacity(jobs);
-    for (i, r) in run_prioritized(threads, jobs, |_| Priority::High, f)
+    run_cancellable(threads, jobs, |_| Priority::High, None, f)
         .into_iter()
         .enumerate()
-    {
-        match r {
-            Ok(v) => out.push(v),
-            Err(p) => panic!("executor job {i} panicked: {}", p.message),
-        }
-    }
-    out
-}
-
-/// Runs `f(0..jobs)` across at most `threads` workers, scheduling each
-/// job at `priority(job)`, and returns the results in job-index order —
-/// slot `i` holds `Ok(f(i))`, or `Err(JobPanic)` when `f(i)` panicked.
-///
-/// Priorities affect only *when* a job starts, never the returned
-/// vector. No `Low` job starts while a `High` job is still queued on any
-/// worker; once a `Low` job has been popped, every `High` job has
-/// already started (all jobs are seeded before the workers spawn and
-/// queues only drain).
-///
-/// With `threads <= 1` or fewer than two jobs the closure runs serially
-/// on the calling thread: every `High` job in index order, then every
-/// `Low` job in index order.
-pub fn run_prioritized<T, F, P>(
-    threads: usize,
-    jobs: usize,
-    priority: P,
-    f: F,
-) -> Vec<Result<T, JobPanic>>
-where
-    T: Send + Sync,
-    F: Fn(usize) -> T + Sync,
-    P: Fn(usize) -> Priority,
-{
-    run_cancellable(threads, jobs, priority, None, f)
-        .into_iter()
-        .map(|out| match out {
-            JobOutcome::Done(v) => Ok(v),
-            JobOutcome::Panicked(p) => Err(p),
-            // Unreachable without a token; stay total instead of panicking.
-            JobOutcome::Cancelled => Err(JobPanic {
-                message: "job cancelled without a cancel token".to_string(),
-            }),
+        .map(|(i, out)| match out {
+            JobOutcome::Done(v) => v,
+            JobOutcome::Panicked(p) => panic!("executor job {i} panicked: {}", p.message),
+            JobOutcome::Cancelled => unreachable!("job {i} cancelled without a cancel token"),
         })
         .collect()
 }
 
-/// [`run_prioritized`] with cooperative cancellation: `cancel` (when
-/// given) is checked **between** jobs — once the token trips, every job
-/// not yet started resolves to [`JobOutcome::Cancelled`] without its
-/// closure running, while jobs already in flight finish normally. The
-/// serial fallback checks the token at exactly the same boundary, so
-/// `threads = 1` cancels identically to `threads = 8`. A token that is
-/// already tripped on entry yields an all-`Cancelled` vector with zero
-/// closure invocations.
+/// Runs `f(0..jobs)` across at most `threads` workers, claiming each job
+/// at `priority(job)`, and returns the results in job-index order — slot
+/// `i` holds [`JobOutcome::Done`]`(f(i))`, or [`JobOutcome::Panicked`]
+/// when `f(i)` panicked.
+///
+/// Priorities affect only *when* a job starts, never the returned
+/// vector: every `High` job is claimed, in index order, before any `Low`
+/// job, and `Low` jobs are claimed in index order too. At `threads = 1`
+/// (or a single job) the calling thread runs them all in that order.
+///
+/// `cancel` (when given) is checked at the claim boundary: once the
+/// token trips, every job not yet claimed resolves to
+/// [`JobOutcome::Cancelled`] without its closure running, while jobs
+/// already in flight finish normally. A token that is already tripped on
+/// entry yields an all-`Cancelled` vector with zero closure invocations.
 pub fn run_cancellable<T, F, P>(
     threads: usize,
     jobs: usize,
@@ -264,156 +204,84 @@ where
     F: Fn(usize) -> T + Sync,
     P: Fn(usize) -> Priority,
 {
-    let threads = threads.clamp(1, MAX_THREADS);
     // Batch-grained load registration: all `jobs` count as outstanding
     // until the index-ordered merge below completes (RAII, unwind-safe).
     let _batch = ActiveBatch::admit(jobs);
-    if threads <= 1 || jobs <= 1 {
-        // The serial fallback isolates panics exactly like the pooled
-        // path and honors the same High-before-Low start order. On the
-        // trace timeline it is worker 0 (restored afterwards: the
-        // caller's thread outlives this call).
-        let prev_worker = ninec_obs::set_trace_worker(0);
-        let mut busy = 0u64;
-        let mut slots: Vec<Option<JobOutcome<T>>> = (0..jobs).map(|_| None).collect();
-        for want in [Priority::High, Priority::Low] {
-            for (i, slot) in slots.iter_mut().enumerate() {
-                if priority(i) == want {
-                    // The cancellation boundary: checked between jobs,
-                    // never mid-decode, matching the pooled path.
-                    if cancel.is_some_and(CancelToken::is_tripped) {
-                        *slot = Some(JobOutcome::Cancelled);
-                        continue;
-                    }
-                    let _job_span = ninec_obs::trace_span_scope(
-                        "job",
-                        ninec_obs::NO_SEGMENT,
-                        ninec_obs::TracePayload::Job {
-                            index: i as u32,
-                            high: want == Priority::High,
-                            stolen: false,
-                        },
-                    );
-                    let start = std::time::Instant::now();
-                    let out = run_caught(|| f(i));
-                    busy += start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-                    if out.is_err() {
-                        // Park the timeline so far before reporting the
-                        // poisoned slot.
-                        ninec_obs::flush_thread_trace();
-                    }
-                    *slot = Some(match out {
-                        Ok(v) => JobOutcome::Done(v),
-                        Err(p) => JobOutcome::Panicked(p),
-                    });
-                }
-            }
-        }
-        crate::metrics::publish_worker_busy(0, busy);
-        let _ = ninec_obs::set_trace_worker(prev_worker);
-        return slots
-            .into_iter()
-            .map(|slot| {
-                slot.unwrap_or_else(|| {
-                    JobOutcome::Panicked(JobPanic {
-                        message: "worker exited without storing a result".to_string(),
-                    })
-                })
-            })
-            .collect();
-    }
-    let workers = threads.min(jobs);
-    // Priorities are resolved once into a table: seeding reads it here,
-    // and workers reuse it to stamp each job's class on the trace.
-    let prios: Vec<Priority> = (0..jobs).map(&priority).collect();
-    // Round-robin seeding per level: job i starts on worker i % workers.
-    let queues: Vec<Mutex<Queues>> = {
-        let mut qs: Vec<Queues> = (0..workers).map(|_| Queues::default()).collect();
-        for (job, prio) in prios.iter().enumerate() {
-            match prio {
-                Priority::High => qs[job % workers].high.push_back(job),
-                Priority::Low => qs[job % workers].low.push_back(job),
-            }
-        }
-        qs.into_iter().map(Mutex::new).collect()
-    };
+    // The claim order: the `High` jobs (positions `..high`), then the
+    // `Low` jobs, each in index order.
+    let (mut order, low): (Vec<usize>, Vec<usize>) =
+        (0..jobs).partition(|&job| priority(job) == Priority::High);
+    let high = order.len();
+    order.extend(low);
+    let next = AtomicUsize::new(0);
     let slots: Vec<OnceLock<JobOutcome<T>>> = (0..jobs).map(|_| OnceLock::new()).collect();
-    // Workers record onto the submitting thread's trace, nested under
-    // its currently open span.
+    let worker = &|w: usize| {
+        let (mut done, mut busy) = (0u64, 0u64);
+        loop {
+            let pos = next.fetch_add(1, Ordering::Relaxed);
+            let Some(&job) = order.get(pos) else { break };
+            // The cancellation boundary: a tripped token turns every
+            // job not yet claimed into a `Cancelled` slot, so the cursor
+            // runs out at one atomic op per job and the merge below
+            // still sees every index filled.
+            if cancel.is_some_and(CancelToken::is_tripped) {
+                let _ = slots[job].set(JobOutcome::Cancelled);
+                continue;
+            }
+            let _job_span = ninec_obs::trace_span_scope(
+                "job",
+                ninec_obs::NO_SEGMENT,
+                ninec_obs::TracePayload::Job {
+                    index: job as u32,
+                    high: pos < high,
+                },
+            );
+            // The catch_unwind here is the panic-isolation boundary: a
+            // panicking job poisons only slot `job`.
+            let start = std::time::Instant::now();
+            let out = run_caught(|| f(job));
+            busy += start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+            let out = match out {
+                Ok(v) => JobOutcome::Done(v),
+                Err(p) => {
+                    // Park this worker's timeline in the global ring
+                    // before the poisoned slot is reported.
+                    ninec_obs::flush_thread_trace();
+                    JobOutcome::Panicked(p)
+                }
+            };
+            // Each position is claimed exactly once, so the slot is
+            // empty; a second set is impossible by construction.
+            let _ = slots[job].set(out);
+            done += 1;
+        }
+        crate::metrics::publish_pool_worker(done);
+        crate::metrics::publish_worker_busy(w, busy);
+    };
+    let workers = threads.clamp(1, MAX_THREADS).min(jobs.max(1));
+    // Spawned workers record onto the submitting thread's trace, nested
+    // under its currently open span.
     let trace_ctx = ninec_obs::trace_context();
     std::thread::scope(|scope| {
-        for w in 0..workers {
-            let queues = &queues;
-            let slots = &slots;
-            let f = &f;
-            let prios = &prios;
+        for w in 1..workers {
             scope.spawn(move || {
                 ninec_obs::set_trace_context(trace_ctx.0, trace_ctx.1);
                 let _ = ninec_obs::set_trace_worker(w as u32);
-                let mut steals = 0u64;
-                let mut done = 0u64;
-                let mut busy = 0u64;
-                loop {
-                    let steals_before = steals;
-                    let job = match pop_own(queues, w) {
-                        Some(job) => Some(job),
-                        None => steal(queues, w, &mut steals),
-                    };
-                    let Some(job) = job else { break };
-                    // The cancellation boundary: a tripped token turns
-                    // every not-yet-started job into a `Cancelled` slot,
-                    // so the deques drain at queue-op speed and the merge
-                    // below still sees every index filled.
-                    if cancel.is_some_and(CancelToken::is_tripped) {
-                        let _ = slots[job].set(JobOutcome::Cancelled);
-                        continue;
-                    }
-                    // A steal tally that moved during this pop means the
-                    // job came off a sibling's deque, not our own.
-                    let stolen = steals > steals_before;
-                    // One gauge write per job — batched at the job
-                    // boundary, never inside the encode/decode hot loop.
-                    crate::metrics::publish_worker_queue_depth(w, queue_len(queues, w));
-                    let _job_span = ninec_obs::trace_span_scope(
-                        "job",
-                        ninec_obs::NO_SEGMENT,
-                        ninec_obs::TracePayload::Job {
-                            index: job as u32,
-                            high: prios[job] == Priority::High,
-                            stolen,
-                        },
-                    );
-                    // The catch_unwind here is the panic-isolation
-                    // boundary: a panicking job poisons only slot `job`.
-                    let start = std::time::Instant::now();
-                    let out = run_caught(|| f(job));
-                    busy += start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-                    if out.is_err() {
-                        // Park this worker's timeline in the global ring
-                        // before the poisoned slot is reported.
-                        ninec_obs::flush_thread_trace();
-                    }
-                    // Each job index is popped exactly once, so the slot is
-                    // empty; a second set is impossible by construction.
-                    let _ = slots[job].set(match out {
-                        Ok(v) => JobOutcome::Done(v),
-                        Err(p) => JobOutcome::Panicked(p),
-                    });
-                    done += 1;
-                }
-                crate::metrics::publish_pool_worker(steals, done);
-                crate::metrics::publish_worker_busy(w, busy);
+                worker(w);
             });
         }
+        // The calling thread is worker 0; its own worker id is restored
+        // afterwards, since the thread outlives this call.
+        let prev_worker = ninec_obs::set_trace_worker(0);
+        worker(0);
+        let _ = ninec_obs::set_trace_worker(prev_worker);
     });
     slots
         .into_iter()
         .map(|slot| {
-            // Every index was queued exactly once and its worker either
-            // stored a value, a caught JobPanic, or a Cancelled marker;
-            // an empty slot would mean a worker died outside
-            // catch_unwind, which the isolation boundary makes
-            // unreachable — but stay total regardless.
+            // Every position was claimed once and filled; an empty slot
+            // would mean a worker died outside catch_unwind, which the
+            // isolation boundary makes unreachable — but stay total.
             slot.into_inner().unwrap_or_else(|| {
                 JobOutcome::Panicked(JobPanic {
                     message: "worker exited without storing a result".to_string(),
@@ -423,53 +291,11 @@ where
         .collect()
 }
 
-/// LIFO pop from the worker's own deques, `High` first (hot segments
-/// stay cache-warm). A worker only reads its own `Low` deque after its
-/// own `High` deque *and every sibling's* are empty — see [`steal`].
-fn pop_own(queues: &[Mutex<Queues>], w: usize) -> Option<usize> {
-    lock_queues(queues, w).high.pop_back()
-}
-
-/// Current total depth of the worker's own deques.
-fn queue_len(queues: &[Mutex<Queues>], w: usize) -> usize {
-    let q = lock_queues(queues, w);
-    q.high.len() + q.low.len()
-}
-
-/// Finds the next job for an own-`High`-empty worker, in strict priority
-/// order: steal `High` from a sibling (FIFO, scanning from `w + 1`
-/// round-robin so the load spreads instead of piling on worker 0), then
-/// pop own `Low`, then steal `Low`. Because every queue only drains, a
-/// scan that found all `High` deques empty proves every `High` job has
-/// started — so a `Low` pop can never overtake a queued `High` job.
-fn steal(queues: &[Mutex<Queues>], w: usize, steals: &mut u64) -> Option<usize> {
-    let n = queues.len();
-    for off in 1..n {
-        let victim = (w + off) % n;
-        let job = lock_queues(queues, victim).high.pop_front();
-        if let Some(job) = job {
-            *steals += 1;
-            return Some(job);
-        }
-    }
-    if let Some(job) = lock_queues(queues, w).low.pop_back() {
-        return Some(job);
-    }
-    for off in 1..n {
-        let victim = (w + off) % n;
-        let job = lock_queues(queues, victim).low.pop_front();
-        if let Some(job) = job {
-            *steals += 1;
-            return Some(job);
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
 
     fn all_high(_: usize) -> Priority {
         Priority::High
@@ -478,7 +304,7 @@ mod tests {
     #[test]
     fn results_are_index_ordered_regardless_of_priority() {
         for threads in [1usize, 2, 8] {
-            let out = run_prioritized(
+            let out = run_cancellable(
                 threads,
                 37,
                 |i| {
@@ -488,9 +314,16 @@ mod tests {
                         Priority::High
                     }
                 },
+                None,
                 |i| i * i,
             );
-            let vals: Vec<usize> = out.into_iter().map(|r| r.expect("no panics")).collect();
+            let vals: Vec<usize> = out
+                .into_iter()
+                .map(|r| match r {
+                    JobOutcome::Done(v) => v,
+                    other => panic!("no panics: {other:?}"),
+                })
+                .collect();
             assert_eq!(vals, (0..37).map(|i| i * i).collect::<Vec<_>>());
         }
     }
@@ -498,7 +331,7 @@ mod tests {
     #[test]
     fn every_job_runs_exactly_once_across_priorities() {
         let hits: Vec<AtomicUsize> = (0..96).map(|_| AtomicUsize::new(0)).collect();
-        let out = run_prioritized(
+        let out = run_cancellable(
             8,
             96,
             |i| {
@@ -508,6 +341,7 @@ mod tests {
                     Priority::Low
                 }
             },
+            None,
             |i| {
                 hits[i].fetch_add(1, Ordering::SeqCst);
                 i
@@ -522,7 +356,7 @@ mod tests {
     #[test]
     fn serial_fallback_runs_high_then_low_in_index_order() {
         let order = Mutex::new(Vec::new());
-        run_prioritized(
+        run_cancellable(
             1,
             10,
             |i| {
@@ -532,6 +366,7 @@ mod tests {
                     Priority::High
                 }
             },
+            None,
             |i| order.lock().expect("no poisoned lock").push(i),
         );
         let order = order.into_inner().expect("no poisoned lock");
@@ -549,7 +384,7 @@ mod tests {
         const LOW: usize = 200;
         for round in 0..10 {
             let starts = Mutex::new(Vec::with_capacity(HIGH + LOW));
-            let out = run_prioritized(
+            let out = run_cancellable(
                 THREADS,
                 HIGH + LOW,
                 |i| {
@@ -559,6 +394,7 @@ mod tests {
                         Priority::Low
                     }
                 },
+                None,
                 |i| {
                     starts.lock().expect("no poisoned lock").push(i);
                     // Skew the load so workers race each other hard.
@@ -573,7 +409,7 @@ mod tests {
             assert!(out
                 .iter()
                 .enumerate()
-                .all(|(i, r)| r.as_ref().ok() == Some(&i)));
+                .all(|(i, r)| r == &JobOutcome::Done(i)));
             let starts = starts.into_inner().expect("no poisoned lock");
             assert_eq!(starts.len(), HIGH + LOW, "round {round}");
             let mut high_started = 0usize;
@@ -594,7 +430,7 @@ mod tests {
     #[test]
     fn a_panicking_low_job_poisons_only_its_slot() {
         for threads in [1usize, 8] {
-            let out = run_prioritized(
+            let out = run_cancellable(
                 threads,
                 16,
                 |i| {
@@ -604,6 +440,7 @@ mod tests {
                         Priority::High
                     }
                 },
+                None,
                 |i| {
                     if i == 14 {
                         panic!("backfill boom {i}");
@@ -613,10 +450,12 @@ mod tests {
             );
             for (i, r) in out.iter().enumerate() {
                 if i == 14 {
-                    let p = r.as_ref().expect_err("job 14 panicked");
+                    let JobOutcome::Panicked(p) = r else {
+                        panic!("job 14 panicked: {r:?}");
+                    };
                     assert!(p.message.contains("backfill boom 14"), "{p:?}");
                 } else {
-                    assert_eq!(r.as_ref().ok(), Some(&i), "threads={threads} job {i}");
+                    assert_eq!(r, &JobOutcome::Done(i), "threads={threads} job {i}");
                 }
             }
         }
@@ -628,16 +467,18 @@ mod tests {
         // While one of our 12 jobs runs, our batch contributes all 12 to
         // the tally (other tests can only add on top, never subtract our
         // share), so every job must observe at least 12.
-        let seen = run_prioritized(4, 12, all_high, |_| active_jobs());
+        let seen = run_cancellable(4, 12, all_high, None, |_| active_jobs());
         for r in &seen {
-            let inside = *r.as_ref().expect("no panics");
+            let &JobOutcome::Done(inside) = r else {
+                panic!("no panics: {r:?}");
+            };
             assert!(inside >= 12, "a job observed only {inside} active jobs");
         }
         // The batch retires even when a job panics (RAII on unwind). The
         // tally is shared with concurrently running tests, so wait for it
         // to dip back to the starting floor instead of asserting once: a
         // leaked batch would keep it permanently above.
-        let _ = run_prioritized(2, 4, all_high, |i| {
+        let _ = run_cancellable(2, 4, all_high, None, |i| {
             if i == 1 {
                 panic!("boom");
             }
@@ -654,9 +495,9 @@ mod tests {
 
     #[test]
     fn zero_jobs_and_single_job_edge_cases() {
-        assert!(run_prioritized(8, 0, all_high, |i| i).is_empty());
-        let one = run_prioritized(8, 1, |_| Priority::Low, |i| i + 7);
-        assert_eq!(one[0].as_ref().ok(), Some(&7));
+        assert!(run_cancellable(8, 0, all_high, None, |i| i).is_empty());
+        let one = run_cancellable(8, 1, |_| Priority::Low, None, |i| i + 7);
+        assert_eq!(one[0], JobOutcome::Done(7));
     }
 
     #[test]
@@ -753,19 +594,49 @@ mod tests {
 
     #[test]
     fn all_jobs_panicking_still_terminates() {
-        let out = run_prioritized::<usize, _, _>(4, 8, all_high, |i| panic!("all down {i}"));
+        let out = run_cancellable::<usize, _, _>(4, 8, all_high, None, |i| panic!("all down {i}"));
         assert_eq!(out.len(), 8);
-        assert!(out.iter().all(|r| r.is_err()));
+        assert!(out.iter().all(|r| matches!(r, JobOutcome::Panicked(_))));
     }
 
     #[test]
     fn non_string_panic_payload_is_reported() {
-        let out =
-            run_prioritized::<usize, _, _>(1, 1, all_high, |_| std::panic::panic_any(42usize));
-        assert_eq!(
-            out[0].as_ref().expect_err("panicked").message,
-            "non-string panic payload"
-        );
+        let out = run_cancellable::<usize, _, _>(1, 1, all_high, None, |_| {
+            std::panic::panic_any(42usize)
+        });
+        let JobOutcome::Panicked(p) = &out[0] else {
+            panic!("panicked: {:?}", out[0]);
+        };
+        assert_eq!(p.message, "non-string panic payload");
+    }
+
+    /// The calling thread is worker 0: at one thread it runs every job,
+    /// and at four it runs jobs beside at most three spawned workers.
+    /// Each job of the four-thread run waits (bounded, so a wrong
+    /// executor fails instead of hanging) until four jobs have started,
+    /// which holds every worker to at least one job.
+    #[test]
+    fn the_calling_thread_runs_jobs() {
+        let caller = std::thread::current().id();
+        let serial = map_indexed(1, 8, |_| std::thread::current().id());
+        assert!(serial.iter().all(|&id| id == caller), "{serial:?}");
+
+        let started = AtomicUsize::new(0);
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        let ids = map_indexed(4, 16, |_| {
+            started.fetch_add(1, Ordering::SeqCst);
+            while started.load(Ordering::SeqCst) < 4 {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "four jobs never ran at once"
+                );
+                std::thread::yield_now();
+            }
+            std::thread::current().id()
+        });
+        assert!(ids.contains(&caller), "the caller ran no job: {ids:?}");
+        let distinct: std::collections::HashSet<_> = ids.iter().collect();
+        assert!(distinct.len() <= 4, "{} workers ran jobs", distinct.len());
     }
 
     #[test]

@@ -556,8 +556,7 @@ impl Engine {
                 .iter()
                 .map(|owned| (owned.index, owned.view()))
                 .collect();
-            // The streaming path passes no cancel token.
-            if let Err(e) = plan::decode_strict(self, &segs, table, None, out) {
+            if let Err(e) = plan::decode_strict(self, &segs, table, self.cancel(), out) {
                 *failed = Some(e);
             }
         }
@@ -568,6 +567,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CancelToken;
     use std::io::Cursor;
 
     fn tv(s: &str) -> TritVec {
@@ -897,6 +897,49 @@ mod tests {
         match engine.decode_stream(src) {
             Err(ReadError::Frame(e)) => assert_eq!(DecodeError::from(e), want),
             other => panic!("expected the truncation, got {other:?}"),
+        }
+    }
+
+    /// The engine's cancel token covers streamed decodes too, with the
+    /// in-memory decode's verdict on the same bytes — a strict frame
+    /// error included, which outranks the trip.
+    #[test]
+    fn streaming_honours_the_engines_cancel_token() {
+        let plain = Engine::builder().segment_bits(64).build();
+        let clean = plain.encode_frame(8, &sample_stream()).expect("valid K");
+        let reference = plain.decode_frame(&clean).expect("decodes");
+        let mut bad = clean.clone();
+        bad[HEADER_BYTES + SEGMENT_HEADER_BYTES] ^= 0x55;
+        let tripped = CancelToken::new();
+        tripped.cancel();
+        let expired = CancelToken::with_deadline(Instant::now() - Duration::from_millis(1));
+        let live = CancelToken::after(Duration::from_secs(3600));
+        let cases = [
+            (tripped, Some(DecodeError::Cancelled)),
+            (expired, Some(DecodeError::DeadlineExceeded)),
+            (live, None),
+        ];
+        for threads in [1usize, 2] {
+            for (token, want) in &cases {
+                let engine = Engine::builder()
+                    .threads(threads)
+                    .segment_bits(64)
+                    .cancel_token(token.clone())
+                    .build();
+                let streamed = engine.decode_stream(Cursor::new(clean.clone()));
+                match (&streamed, want) {
+                    (Err(ReadError::Decode(e)), Some(want)) => assert_eq!(e, want),
+                    (Ok(out), None) => assert_eq!(out, &reference),
+                    _ => panic!("threads={threads} want {want:?}, got {streamed:?}"),
+                }
+                let in_memory = engine.decode_frame(&clean);
+                assert_eq!(in_memory.err().as_ref(), want.as_ref(), "threads={threads}");
+                let Err(ReadError::Frame(e)) = engine.decode_stream(Cursor::new(bad.clone()))
+                else {
+                    panic!("threads={threads}: the frame error must outrank {want:?}");
+                };
+                assert_eq!(engine.decode_frame(&bad), Err(DecodeError::from(e)));
+            }
         }
     }
 

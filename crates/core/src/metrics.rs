@@ -34,29 +34,22 @@ pub const ENCODE_LX_PCT: &str = "ninec.encode.leftover_x_pct";
 /// Histogram: encoder throughput per run, in Mbit/s of source stream.
 pub const ENCODE_THROUGHPUT: &str = "ninec.encode.throughput_mbit_s";
 
-/// Counter: segments completed by engine pool workers.
+/// Counter: jobs completed by executor workers — segment encodes and
+/// decodes, repair and salvage jobs — at every thread count (the calling
+/// thread is worker 0, so one thread counts too).
 pub const ENGINE_SEGMENTS: &str = "ninec.engine.segments";
-/// Counter: jobs an engine worker stole from a sibling's deque.
-pub const ENGINE_STEALS: &str = "ninec.engine.steals";
 /// Histogram: wall-clock nanoseconds spent encoding one segment.
 pub const ENGINE_SEG_ENCODE_NS: &str = "ninec.engine.segment.encode_ns";
 /// Histogram: wall-clock nanoseconds spent decoding one segment.
 pub const ENGINE_SEG_DECODE_NS: &str = "ninec.engine.segment.decode_ns";
-/// Gauge name for one pool worker's queue depth:
-/// `ninec.engine.worker.<i>.queue_depth`.
-#[must_use]
-pub fn worker_queue_depth_name(worker: usize) -> String {
-    format!("ninec.engine.worker.{worker}.queue_depth")
-}
-
-/// Counter name for one pool worker's cumulative job run time:
+/// Counter name for one executor worker's cumulative job run time:
 /// `ninec.engine.worker.<i>.busy_ns`.
 #[must_use]
 pub fn worker_busy_ns_name(worker: usize) -> String {
     format!("ninec.engine.worker.{worker}.busy_ns")
 }
 
-/// Flushes one pool worker's cumulative wall-clock job time — the
+/// Flushes one executor worker's cumulative wall-clock job time — the
 /// Fig 4c per-decoder load-imbalance number as an aggregate; the flight
 /// recorder holds the per-job timeline. Batched once at worker exit.
 pub fn publish_worker_busy(worker: usize, nanos: u64) {
@@ -68,30 +61,13 @@ pub fn publish_worker_busy(worker: usize, nanos: u64) {
         .add(nanos);
 }
 
-/// Publishes one pool worker's current queue depth gauge.
-///
-/// Called once per segment pop — batched at the segment boundary, never
-/// inside the encode/decode hot loop. No-op unless runtime-enabled.
-pub fn publish_worker_queue_depth(worker: usize, depth: usize) {
-    if !ninec_obs::runtime_enabled() {
+/// Flushes one executor worker's completed-job tally into
+/// [`ENGINE_SEGMENTS`] — one batched flush per worker exit.
+pub fn publish_pool_worker(done: u64) {
+    if !ninec_obs::runtime_enabled() || done == 0 {
         return;
     }
-    ninec_obs::global()
-        .gauge(&worker_queue_depth_name(worker))
-        .set(depth as f64);
-}
-
-/// Flushes one pool worker's lifetime tallies (`steals`, `done` segments)
-/// into the global registry — one batched flush per worker exit.
-pub fn publish_pool_worker(steals: u64, done: u64) {
-    if !ninec_obs::runtime_enabled() {
-        return;
-    }
-    let reg = ninec_obs::global();
-    if steals > 0 {
-        reg.counter(ENGINE_STEALS).add(steals);
-    }
-    reg.counter(ENGINE_SEGMENTS).add(done);
+    ninec_obs::global().counter(ENGINE_SEGMENTS).add(done);
 }
 
 /// Records one segment's encode latency in nanoseconds.
@@ -355,15 +331,9 @@ mod tests {
     }
 
     #[test]
-    fn worker_gauge_names_are_indexed() {
-        assert_eq!(
-            worker_queue_depth_name(0),
-            "ninec.engine.worker.0.queue_depth"
-        );
-        assert_eq!(
-            worker_queue_depth_name(7),
-            "ninec.engine.worker.7.queue_depth"
-        );
+    fn worker_counter_names_are_indexed() {
+        assert_eq!(worker_busy_ns_name(0), "ninec.engine.worker.0.busy_ns");
+        assert_eq!(worker_busy_ns_name(7), "ninec.engine.worker.7.busy_ns");
     }
 
     #[test]

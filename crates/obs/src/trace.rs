@@ -101,15 +101,12 @@ impl RungKind {
 pub enum TracePayload {
     /// No extra data.
     None,
-    /// An executor job: its index, priority class and whether the
-    /// running worker stole it from a sibling's queue.
+    /// An executor job: its index and priority class.
     Job {
         /// Job index in the submission order.
         index: u32,
         /// `true` for high-priority jobs.
         high: bool,
-        /// `true` when the job was stolen rather than popped locally.
-        stolen: bool,
     },
     /// A segment CRC verdict from the frame walker.
     Crc {
@@ -192,14 +189,9 @@ impl TraceEvent {
 fn payload_fields(payload: &TracePayload, out: &mut Vec<(String, Value)>) {
     match *payload {
         TracePayload::None => {}
-        TracePayload::Job {
-            index,
-            high,
-            stolen,
-        } => {
+        TracePayload::Job { index, high } => {
             out.push(("job".to_owned(), serde_json::json!(index)));
             out.push(("high".to_owned(), serde_json::json!(high)));
-            out.push(("stolen".to_owned(), serde_json::json!(stolen)));
         }
         TracePayload::Crc { ok, claimed_trits } => {
             out.push(("crc_ok".to_owned(), serde_json::json!(ok)));

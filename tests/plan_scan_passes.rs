@@ -3,11 +3,12 @@
 //! driving the *entire* strict → repair → salvage ladder against it
 //! costs exactly one header/CRC scan of the frame. The same runs pin the
 //! recovery counters: CRC failures, salvaged segments, repair failures
-//! and limit rejections each tick by exactly what their input earns.
+//! and limit rejections each tick by exactly what their input earns, and
+//! `ninec.engine.segments` by the jobs the executor ran.
 //!
-//! Everything lives in one `#[test]` because the [`ninec_obs`] registry
-//! is process global — this file is its own integration-test binary so
-//! no other test perturbs the deltas.
+//! The [`ninec_obs`] registry is process global, so this file is its own
+//! integration-test binary and its tests take [`REGISTRY`] in turn: no
+//! other decode perturbs the deltas.
 //!
 //! [`FramePlan`]: ninec::FramePlan
 
@@ -16,6 +17,10 @@ use ninec::engine::DecodeLimits;
 use ninec::session::DecodeSession;
 use ninec::{metrics, Engine, PlanEntry, Policy};
 use ninec_testdata::gen::SyntheticProfile;
+use std::sync::Mutex;
+
+/// Held by each test for its whole run, so the deltas are its own.
+static REGISTRY: Mutex<()> = Mutex::new(());
 
 /// The counters this suite pins, read together.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,6 +72,7 @@ fn whole_ladder_costs_one_scan_pass() {
     if !ninec_obs::is_compiled() {
         return;
     }
+    let _registry = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
     // A damaged v3 frame: strict fails, repair rebuilds it bit-exact.
     let set = SyntheticProfile::new("scanpass", 24, 64, 0.72).generate(5);
     let engine = Engine::builder()
@@ -173,4 +179,38 @@ fn whole_ladder_costs_one_scan_pass() {
         repair_failures: 0,
     };
     assert_eq!(delta, expected, "hostile limit");
+}
+
+/// Every executor worker, the calling thread included, counts the jobs
+/// it completes, so a clean strict decode adds exactly the frame's
+/// data-segment count to `ninec.engine.segments` at any thread count.
+#[test]
+fn engine_segments_count_every_decoded_segment() {
+    if !ninec_obs::is_compiled() {
+        return;
+    }
+    let _registry = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
+    let set = SyntheticProfile::new("segments", 24, 64, 0.72).generate(7);
+    for threads in [1usize, 2] {
+        let engine = Engine::builder()
+            .threads(threads)
+            .segment_bits(256)
+            .parity(2, 1)
+            .build();
+        let frame = engine
+            .encode_frame(8, set.as_stream())
+            .expect("frame encodes");
+        let plan = engine.build_plan(&frame).expect("clean frame plans");
+        let data = plan
+            .entries()
+            .iter()
+            .filter(|e| matches!(e, PlanEntry::Data { .. }))
+            .count() as u64;
+        drop(plan);
+        assert!(data > 2, "the frame must span several segments");
+        let segments = || ninec_obs::counter(metrics::ENGINE_SEGMENTS).get();
+        let before = segments();
+        engine.decode_frame(&frame).expect("clean frame decodes");
+        assert_eq!(segments() - before, data, "threads={threads}");
+    }
 }
