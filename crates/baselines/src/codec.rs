@@ -40,7 +40,7 @@ use std::fmt;
 /// The `Send + Sync` supertrait lets the default *segmented* methods
 /// ([`encode_segmented`](TestDataCodec::encode_segmented) /
 /// [`decode_segmented`](TestDataCodec::decode_segmented)) shard one stream
-/// across the engine's work-stealing pool — every codec in this crate is a
+/// across the engine's executor — every codec in this crate is a
 /// plain owned-data struct, so the bound costs nothing.
 pub trait TestDataCodec: Send + Sync {
     /// Short display name (e.g. `"FDR"`).
@@ -53,7 +53,7 @@ pub trait TestDataCodec: Send + Sync {
     /// Parallel default-method path: partitions `stream` into segments of
     /// `segment_bits` source trits (the same segment geometry as
     /// [`ninec::engine::Engine`]) and encodes each independently on the
-    /// engine's work-stealing pool.
+    /// engine's executor.
     ///
     /// Determinism: segments are keyed by index and reassembled in source
     /// order, so the result is independent of `threads`. Each segment is a

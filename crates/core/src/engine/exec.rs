@@ -7,7 +7,8 @@
 //! [`Priority::High`] or [`Priority::Low`], and no `Low` job is claimed
 //! while any `High` job is still unclaimed. The decode pipeline uses this
 //! to keep payload decodes (latency-critical, always needed) ahead of
-//! repair/salvage backfill work.
+//! repair/salvage backfill work, and it is the executor a future
+//! `ninec-serve` can multiplex connections onto.
 //!
 //! Scheduling shape: the claim order is built once — every `High` job in
 //! index order, then every `Low` job in index order — and workers take
@@ -213,6 +214,10 @@ where
         (0..jobs).partition(|&job| priority(job) == Priority::High);
     let high = order.len();
     order.extend(low);
+    // The cursor publishes no data (`order` exists before any worker
+    // starts; slots synchronise through `OnceLock` and the scope join),
+    // and one atomic's RMWs are totally ordered, so `Relaxed` claims
+    // every position exactly once and in order.
     let next = AtomicUsize::new(0);
     let slots: Vec<OnceLock<JobOutcome<T>>> = (0..jobs).map(|_| OnceLock::new()).collect();
     let worker = &|w: usize| {

@@ -3,10 +3,10 @@
 //! The paper's Fig. 4(c) parallel-decompressor splits the encoded stream
 //! across independent FSMs; [`Engine`] is the software mirror of that
 //! architecture. It partitions a source stream into block-aligned
-//! **segments**, encodes/decodes them concurrently on a vendored, std-only
-//! work-stealing executor ([`exec`]), and merges deterministically — the
-//! output is byte-identical regardless of thread count, with a serial
-//! in-caller fallback at `threads = 1`.
+//! **segments**, encodes/decodes them concurrently on a std-only executor
+//! ([`exec`]) whose workers claim segments from one shared cursor, and
+//! merges deterministically — the output is byte-identical regardless of
+//! thread count; at `threads = 1` the calling thread runs every segment.
 //!
 //! Two output shapes:
 //!
@@ -29,7 +29,7 @@
 //! only available on the serial [`Encoder`](crate::encode::Encoder).)
 //!
 //! Telemetry (default-on `obs` feature, batched at segment boundaries):
-//! per-worker queue-depth gauges, steal/segment counters and
+//! per-worker busy-time counters, the completed-job counter and
 //! segment-latency histograms — see [`crate::metrics`].
 //!
 //! ```
@@ -179,7 +179,7 @@ pub struct EngineBuilder {
 impl EngineBuilder {
     /// Worker threads. Defaults to [`default_threads`] (the
     /// `NINEC_THREADS` environment variable, else the machine's available
-    /// parallelism). `1` selects the serial in-caller fallback.
+    /// parallelism). At `1` the calling thread runs every job itself.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads.clamp(1, exec::MAX_THREADS));
         self

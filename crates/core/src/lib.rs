@@ -24,10 +24,10 @@
 //!   point for everything decode (the deprecated `decode*` free
 //!   functions it replaced were removed in 0.4.0 — see the README's
 //!   migration note);
-//! - [`engine`] — the sharded multi-core codec engine: a vendored
-//!   work-stealing pool, the self-describing `9CSF` segment-frame
-//!   container, and parallel encode/decode that is byte-identical to the
-//!   serial path at any thread count;
+//! - [`engine`] — the sharded multi-core codec engine: a std-only
+//!   executor the calling thread joins, the self-describing `9CSF`
+//!   segment-frame container, and parallel encode/decode that is
+//!   byte-identical to the serial path at any thread count;
 //! - [`analysis`] — compression-ratio and test-application-time models;
 //! - [`metrics`] — the crate's telemetry names and batched publishing
 //!   into the [`ninec_obs`] global registry (compiled out without the

@@ -77,19 +77,31 @@ rm -rf "$tablesdir"
 # exported one would turn every run below into a silent re-bless.
 unset CORPUS_BLESS OBS_BLESS OUTCOME_BLESS
 
-# Run the suite at both ends of the engine's thread spectrum: the serial
-# in-caller fallback and an oversubscribed pool. Output must be identical
-# (the differential suite asserts byte-identity; this catches anything
-# thread-count-sensitive that only manifests at runtime).
+# Run the suite at both ends of the engine's thread spectrum: one thread,
+# where the calling thread runs every job, and an oversubscribed executor.
+# Output must be identical (the differential suite asserts byte-identity;
+# this catches anything thread-count-sensitive that only manifests at
+# runtime).
 echo "==> cargo test -q (NINEC_THREADS=1)"
 NINEC_THREADS=1 cargo test -q
 
 echo "==> cargo test -q (NINEC_THREADS=8)"
 NINEC_THREADS=8 cargo test -q
 
-# The priority executor's starvation/ordering stress tests, explicitly at
-# an oversubscribed pool: a Low-priority job popping before every High
-# job has started is a CI failure, not a flake.
+# The root `cargo test` runs only the ninec-suite facade. The member
+# crates' own tests (core's engine units, serve's service, chaos and soak
+# suites, the obs crate's tests) otherwise run only with telemetry
+# compiled out, below; run them in the default build too, the one that
+# ships and that the benchmark measures, at both thread counts.
+echo "==> cargo test -q --workspace --exclude ninec-suite (NINEC_THREADS=1)"
+NINEC_THREADS=1 cargo test -q --workspace --exclude ninec-suite
+
+echo "==> cargo test -q --workspace --exclude ninec-suite (NINEC_THREADS=8)"
+NINEC_THREADS=8 cargo test -q --workspace --exclude ninec-suite
+
+# The executor's priority, cancellation and panic tests at an
+# oversubscribed thread count: a Low-priority job claimed while High jobs
+# are still unclaimed is a CI failure, not a flake.
 echo "==> executor priority stress (NINEC_THREADS=8)"
 NINEC_THREADS=8 cargo test -q -p ninec --lib engine::exec::
 
