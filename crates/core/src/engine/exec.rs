@@ -214,10 +214,9 @@ where
         (0..jobs).partition(|&job| priority(job) == Priority::High);
     let high = order.len();
     order.extend(low);
-    // The cursor publishes no data (`order` exists before any worker
-    // starts; slots synchronise through `OnceLock` and the scope join),
-    // and one atomic's RMWs are totally ordered, so `Relaxed` claims
-    // every position exactly once and in order.
+    // `Relaxed` is enough: the cursor publishes no data (`order` predates
+    // the workers; slots sync through `OnceLock` and the scope join), and
+    // RMWs on one atomic still claim each position exactly once, in order.
     let next = AtomicUsize::new(0);
     let slots: Vec<OnceLock<JobOutcome<T>>> = (0..jobs).map(|_| OnceLock::new()).collect();
     let worker = &|w: usize| {

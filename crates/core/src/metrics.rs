@@ -34,9 +34,8 @@ pub const ENCODE_LX_PCT: &str = "ninec.encode.leftover_x_pct";
 /// Histogram: encoder throughput per run, in Mbit/s of source stream.
 pub const ENCODE_THROUGHPUT: &str = "ninec.encode.throughput_mbit_s";
 
-/// Counter: jobs completed by executor workers — segment encodes and
-/// decodes, repair and salvage jobs — at every thread count (the calling
-/// thread is worker 0, so one thread counts too).
+/// Counter: jobs completed by executor workers — segment encodes, decodes,
+/// repair and salvage jobs — at every thread count, the caller included.
 pub const ENGINE_SEGMENTS: &str = "ninec.engine.segments";
 /// Histogram: wall-clock nanoseconds spent encoding one segment.
 pub const ENGINE_SEG_ENCODE_NS: &str = "ninec.engine.segment.encode_ns";

@@ -206,7 +206,6 @@ fn engine_segments_count_every_decoded_segment() {
             .iter()
             .filter(|e| matches!(e, PlanEntry::Data { .. }))
             .count() as u64;
-        drop(plan);
         assert!(data > 2, "the frame must span several segments");
         let segments = || ninec_obs::counter(metrics::ENGINE_SEGMENTS).get();
         let before = segments();
