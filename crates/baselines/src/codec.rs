@@ -114,8 +114,8 @@ pub trait TestDataCodec: Send + Sync {
     /// Returns [`CodecDecodeError`] on truncated or corrupt streams.
     ///
     /// Successful decodes record their wall time into the per-codec
-    /// `ninec.baseline.<name>.decode_ns` histogram (a no-op with
-    /// telemetry compiled out or runtime-disabled).
+    /// `ninec.baseline.<name>.decode_ns` histogram (a no-op while
+    /// runtime telemetry is off).
     fn decode_stream(&self, encoded: &CodecStream) -> Result<TritVec, CodecDecodeError> {
         let t0 = ninec_obs::runtime_enabled().then(std::time::Instant::now);
         let out = encoded.decode();

@@ -36,8 +36,7 @@ fn best_secs<F: FnMut()>(iters: usize, mut f: F) -> f64 {
 ///
 /// The recorder is always-on by default, so this row is the acceptance
 /// bar that keeps it honest: per-segment span bookkeeping must stay
-/// within a few percent of the untraced decode. In an obs-off build
-/// both runs hit the no-op shims and the delta measures pure noise.
+/// within a few percent of the untraced decode.
 #[derive(Debug, Clone)]
 pub struct TraceOverheadRow {
     /// Circuit / stream name.
@@ -46,8 +45,6 @@ pub struct TraceOverheadRow {
     pub k: usize,
     /// Worker-thread count for this row.
     pub threads: usize,
-    /// Whether the flight recorder is compiled in at all.
-    pub compiled: bool,
     /// Frame-decode throughput with the recorder capturing (Mbit/s).
     pub on_mbit_s: f64,
     /// Frame-decode throughput with the recorder switched off (Mbit/s).
@@ -118,7 +115,6 @@ pub fn measure_trace_overhead(
         circuit: circuit.to_owned(),
         k,
         threads,
-        compiled: ninec_obs::is_compiled(),
         on_mbit_s: bits / on_secs / 1e6,
         off_mbit_s: bits / off_secs / 1e6,
     }
@@ -139,7 +135,7 @@ fn main() {
             row.overhead_pct()
         );
         assert!(
-            !row.compiled || row.overhead_pct() <= 5.0,
+            row.overhead_pct() <= 5.0,
             "flight recorder costs {:.2}% on decode (threads={}) — over the 5% budget",
             row.overhead_pct(),
             row.threads
@@ -162,6 +158,5 @@ mod tests {
         assert!(row.on_mbit_s.is_finite() && row.on_mbit_s > 0.0);
         assert!(row.off_mbit_s.is_finite() && row.off_mbit_s > 0.0);
         assert!(row.overhead_pct().is_finite());
-        assert_eq!(row.compiled, ninec_obs::is_compiled());
     }
 }

@@ -1628,7 +1628,7 @@ fn json_escape(s: &str) -> String {
 /// `ninec trace <in.9cf>`: replay the frame through the audited decode
 /// ladder and print the per-frame audit trail — one line per segment
 /// naming the rung it resolved on, the worker that decoded it and the
-/// decode wall-clock (from the flight recorder, when compiled in).
+/// decode wall-clock (from the flight recorder, while it is on).
 fn trace_cmd(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let opts = parse_opts(args)?;
     let input = one_input(&opts)?;
@@ -2260,13 +2260,8 @@ mod tests {
             "--stats",
             "text",
         ]);
-        if ninec_obs::is_compiled() {
-            assert!(msg.contains("# TYPE"), "{msg}");
-            assert!(msg.contains("ninec_encode_blocks"), "{msg}");
-        } else {
-            // Compiled out: the command still works, the registry is empty.
-            assert!(msg.contains("CR"), "{msg}");
-        }
+        assert!(msg.contains("# TYPE"), "{msg}");
+        assert!(msg.contains("ninec_encode_blocks"), "{msg}");
     }
 
     #[test]
@@ -2288,23 +2283,17 @@ mod tests {
         let start = msg.find('{').expect("json object in output");
         let end = msg.rfind('}').expect("json object in output");
         let doc = serde_json::from_str(&msg[start..=end]).expect("--stats json must be valid JSON");
-        if ninec_obs::is_compiled() {
-            let blocks = doc["counters"]["ninec.encode.blocks"]
+        let blocks = doc["counters"]["ninec.encode.blocks"]
+            .as_u64()
+            .expect("encode block counter present");
+        assert!(blocks > 0, "expected nonzero blocks: {doc:?}");
+        assert!(
+            doc["histograms"]["ninec.encode.throughput_mbit_s"]["count"]
                 .as_u64()
-                .expect("encode block counter present");
-            assert!(blocks > 0, "expected nonzero blocks: {doc:?}");
-            assert!(
-                doc["histograms"]["ninec.encode.throughput_mbit_s"]["count"]
-                    .as_u64()
-                    .unwrap_or(0)
-                    > 0,
-                "expected a throughput sample: {doc:?}"
-            );
-        } else {
-            // Compiled out: the document is still well-formed JSON with
-            // (empty) top-level sections.
-            assert!(matches!(doc["counters"], serde_json::Value::Object(_)));
-        }
+                .unwrap_or(0)
+                > 0,
+            "expected a throughput sample: {doc:?}"
+        );
     }
 
     #[test]
@@ -2320,12 +2309,8 @@ mod tests {
             "-o",
             path_str(&te),
         ]);
-        if ninec_obs::is_compiled() {
-            assert!(msg.contains("cli_compress"), "{msg}");
-            assert!(msg.contains("encode_chunked"), "{msg}");
-        } else {
-            assert!(msg.contains("# spans (0 events)"), "{msg}");
-        }
+        assert!(msg.contains("cli_compress"), "{msg}");
+        assert!(msg.contains("encode_chunked"), "{msg}");
     }
 
     #[test]
@@ -2963,14 +2948,10 @@ mod tests {
             "--stats",
             "prom",
         ]);
-        if ninec_obs::is_compiled() {
-            assert!(msg.contains("# TYPE"), "{msg}");
-            assert!(msg.contains("ninec_encode_blocks"), "{msg}");
-            // Exposition-format shape: every histogram ends in +Inf.
-            assert!(msg.contains("le=\"+Inf\""), "{msg}");
-        } else {
-            assert!(msg.contains("CR"), "{msg}");
-        }
+        assert!(msg.contains("# TYPE"), "{msg}");
+        assert!(msg.contains("ninec_encode_blocks"), "{msg}");
+        // Exposition-format shape: every histogram ends in +Inf.
+        assert!(msg.contains("le=\"+Inf\""), "{msg}");
     }
 
     /// Builds a parity-protected v3 frame with one corrupted payload
@@ -3063,17 +3044,12 @@ mod tests {
             serde_json::from_str(&fs::read_to_string(&trace_json).unwrap())
                 .expect("--trace file must be valid Chrome trace JSON");
         let events = doc["traceEvents"].as_array().expect("traceEvents array");
-        if ninec_obs::is_compiled() {
-            assert!(
-                events
-                    .iter()
-                    .any(|e| e["name"].as_str() == Some("segment_decode")),
-                "expected segment_decode spans in {doc:?}"
-            );
-        } else {
-            // Compiled out: still a valid, empty document.
-            assert!(doc["displayTimeUnit"].as_str() == Some("ns"));
-        }
+        assert!(
+            events
+                .iter()
+                .any(|e| e["name"].as_str() == Some("segment_decode")),
+            "expected segment_decode spans in {doc:?}"
+        );
 
         // A .jsonl path selects the JSON-lines dump: one object per line.
         let trace_jsonl = dir.join("decode.jsonl");
@@ -3088,9 +3064,7 @@ mod tests {
             let obj: serde_json::Value = serde_json::from_str(line).expect("jsonl line parses");
             assert!(obj["kind"].as_str().is_some(), "{obj:?}");
         }
-        if ninec_obs::is_compiled() {
-            assert!(!text.is_empty(), "recorder-on jsonl dump must have events");
-        }
+        assert!(!text.is_empty(), "recorder-on jsonl dump must have events");
     }
 
     /// Generates cubes and compresses them into a parity-protected

@@ -326,7 +326,7 @@ impl<S: BitSource> Drop for StreamDecoder<S> {
     /// Flushes the run's tally into the global [`ninec_obs`] registry
     /// (`ninec.decode.runs` / `.blocks` / `.bits_in` / `.symbols_out`) —
     /// one batched flush per decoder lifetime, skipped for decoders that
-    /// never emitted a block and compiled out with telemetry disabled.
+    /// never emitted a block and while runtime telemetry is off.
     fn drop(&mut self) {
         if self.blocks > 0 {
             crate::metrics::publish_decode(self.blocks, self.pos as u64, self.produced() as u64);

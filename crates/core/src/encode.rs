@@ -471,12 +471,17 @@ impl Encoder {
             let (ls, rs) = case.halves();
             left.satisfies(ls) && right.satisfies(rs)
         };
-        let best_cost = ALL_CASES
-            .into_iter()
-            .filter(|&c| feasible(c))
-            .map(|c| self.table.block_bits(c, k))
-            .min()
-            .expect("MM is always feasible");
+        // A plain loop, not a filter/map/min chain: this runs once per
+        // block, and rustc may leave the chain's `fold` out of line (it
+        // did when unrelated functions moved between codegen units),
+        // which slowed encode by a fifth. MM is always feasible, so
+        // `best_cost` is always set.
+        let mut best_cost = usize::MAX;
+        for case in ALL_CASES {
+            if feasible(case) {
+                best_cost = best_cost.min(self.table.block_bits(case, k));
+            }
+        }
         let mut best: Option<((usize, usize, usize), Case)> = None;
         for case in ALL_CASES {
             if !feasible(case) {
@@ -576,8 +581,7 @@ impl<S: BitSink> StreamEncoder<'_, S> {
     ///
     /// Also publishes the tally into the global [`ninec_obs`] registry
     /// (one batched flush per run — the per-block hot loop never touches
-    /// an atomic); a no-op when telemetry is compiled out or runtime
-    /// disabled.
+    /// an atomic); a no-op while runtime telemetry is off.
     pub fn finish(mut self) -> EncodeTotals {
         if !self.pending.is_empty() {
             encode_block(

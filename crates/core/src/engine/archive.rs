@@ -19,9 +19,9 @@
 //! renames it over `<name>.9ca.idx`. A process killed at *any* byte
 //! boundary leaves either the old index (whose records never reference
 //! the torn tail — the next append truncates it away) or the new one
-//! (whose data was durable before the rename). The
-//! [`faultpoint`](super::faultpoint) site `arc` with action `kill`
-//! makes that claim testable at every single boundary.
+//! (whose data was durable before the rename). The [`faultpoint`] site
+//! `arc` with action `kill` makes that claim testable at every single
+//! boundary.
 //!
 //! **Dedup** is content-addressed: blobs are keyed by an FNV-1a 64
 //! digest and a hit is confirmed by byte comparison against the stored
@@ -899,7 +899,7 @@ impl Archive {
                 cands.push((b.offset, b.len));
             }
         }
-        crate::metrics::publish_archive_dedup_hits(dedup_hits);
+        crate::metrics::publish_count(crate::metrics::ARCHIVE_DEDUP_HITS, dedup_hits);
         Ok(AppendReceipt {
             frame: self.index.frames.len() - 1,
             segments: n + p,

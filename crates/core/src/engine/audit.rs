@@ -3,15 +3,13 @@
 //! A [`DecodeAudit`] is the queryable rollup of one audited frame decode
 //! ([`DecodeSession::audit`](crate::session::DecodeSession::audit)): one
 //! [`SegmentAudit`] per output segment naming the rung it resolved on
-//! (strict / repaired / salvaged), and — when the flight recorder is
-//! compiled in and enabled — the worker that decoded it and the decode
-//! wall-clock, recovered from the matching `segment_decode` span pair in
-//! the trace.
+//! (strict / repaired / salvaged), and — while the flight recorder is
+//! on — the worker that decoded it and the decode wall-clock, recovered
+//! from the matching `segment_decode` span pair in the trace.
 //!
 //! The rung facts come from the [`SalvageReport`]'s damage map, so they
-//! are exact in every build; the worker/timing attribution degrades to
-//! `None` when tracing is compiled out (`--no-default-features`) or the
-//! runtime kill switch is off.
+//! are exact whatever the switches say; the worker/timing attribution
+//! degrades to `None` while [`ninec_obs::trace_enabled`] is off.
 
 use crate::engine::frame::DamageReason;
 use crate::engine::salvage::SalvageReport;
@@ -74,8 +72,7 @@ pub struct SegmentAudit {
 /// module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DecodeAudit {
-    /// Flight-recorder trace id the decode ran under (0 when tracing is
-    /// compiled out).
+    /// Flight-recorder trace id the decode ran under.
     pub trace: u64,
     /// One entry per output segment, in stream order.
     pub segments: Vec<SegmentAudit>,

@@ -1,8 +1,8 @@
 //! Cooperative cancellation and deadlines for the decode data plane.
 //!
 //! A [`CancelToken`] is the engine's time-robustness primitive: an
-//! `Arc`-shared atomic flag plus an optional deadline
-//! [`Instant`](std::time::Instant), checked *between* jobs by the
+//! `Arc`-shared atomic flag plus an optional deadline [`Instant`],
+//! checked *between* jobs by the
 //! [`exec`](super::exec) executor — never inside a segment decode, so
 //! cancellation costs one atomic load + at most one clock read per job
 //! and a segment's output is always either complete or absent.

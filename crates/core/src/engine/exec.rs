@@ -259,7 +259,7 @@ where
             let _ = slots[job].set(out);
             done += 1;
         }
-        crate::metrics::publish_pool_worker(done);
+        crate::metrics::publish_count(crate::metrics::ENGINE_SEGMENTS, done);
         crate::metrics::publish_worker_busy(w, busy);
     };
     let workers = threads.clamp(1, MAX_THREADS).min(jobs.max(1));

@@ -932,10 +932,10 @@ pub(crate) fn segment_at<'a>(
 pub(crate) fn publish_failure_metrics(e: &FrameError) {
     match e {
         FrameError::BadCrc { .. } | FrameError::BadHeaderCrc => {
-            crate::metrics::publish_crc_failures(1);
+            crate::metrics::publish_count(crate::metrics::FRAME_CRC_FAILURES, 1);
         }
         FrameError::LimitExceeded { .. } => {
-            crate::metrics::publish_limit_rejections(1);
+            crate::metrics::publish_count(crate::metrics::FRAME_LIMIT_REJECTIONS, 1);
         }
         _ => {}
     }

@@ -26,9 +26,10 @@
 //! Case selection is the paper's min-size greedy: it is block-local, which
 //! is exactly the property that makes segment-parallel encoding exact.
 //! (Power-aware selection tracks state across block seams and is therefore
-//! only available on the serial [`Encoder`](crate::encode::Encoder).)
+//! only available on the serial [`Encoder`].)
 //!
-//! Telemetry (default-on `obs` feature, batched at segment boundaries):
+//! Telemetry (on unless switched off at run time, batched at segment
+//! boundaries):
 //! per-worker busy-time counters, the completed-job counter and
 //! segment-latency histograms — see [`crate::metrics`].
 //!
@@ -522,7 +523,10 @@ impl Engine {
             for (q, j, shard) in &shards {
                 frame::write_parity_segment(&mut out, *q, *j, shard)?;
             }
-            crate::metrics::publish_parity_bits(((out.len() - parity_start) * 8) as u64);
+            crate::metrics::publish_count(
+                crate::metrics::ECC_PARITY_BITS,
+                ((out.len() - parity_start) * 8) as u64,
+            );
         }
         Ok(out)
     }

@@ -112,8 +112,8 @@ pub enum PlanEntry<'a> {
         /// the 16 header bytes were at least present. Parity headers
         /// carry no source trits — their claim is zero.
         claimed_source_trits: Option<usize>,
-        /// The verbatim parse error, exactly as [`frame::segment_at`] /
-        /// [`frame::parity_at`] reported it.
+        /// The verbatim parse error, exactly as `frame::segment_at` /
+        /// `frame::parity_at` reported it.
         error: FrameError,
     },
 }
@@ -692,7 +692,7 @@ impl Walker {
         if self.walk_budget.saturating_add(add) > self.limits.max_total_alloc {
             // Too expensive to decode — classified, not charged.
             if self.mode == BuildMode::Full {
-                crate::metrics::publish_limit_rejections(1);
+                crate::metrics::publish_count(crate::metrics::FRAME_LIMIT_REJECTIONS, 1);
                 ninec_obs::trace_instant(
                     "over_budget",
                     u32::try_from(self.index).unwrap_or(u32::MAX),
@@ -839,7 +839,7 @@ pub(crate) fn build<'a>(
             return Err(e);
         }
     };
-    crate::metrics::publish_scan_passes(1);
+    crate::metrics::publish_count(crate::metrics::FRAME_SCAN_PASSES, 1);
     let mut walker = Walker::new(&head, limits, mode);
     // Shared by every resync of this walk, so each byte enters it once.
     let mut crc = PrefixCrc::default();
@@ -926,8 +926,8 @@ pub(crate) fn decode_strict(
             JobOutcome::Cancelled => cancelled += 1,
         }
     }
-    crate::metrics::publish_worker_panics(panics);
-    crate::metrics::publish_cancelled_jobs(cancelled);
+    crate::metrics::publish_count(crate::metrics::ENGINE_WORKER_PANICS, panics);
+    crate::metrics::publish_count(crate::metrics::ENGINE_CANCELLED_JOBS, cancelled);
     if cancelled > 0 {
         // Cancellation beats per-segment errors in the strict verdict:
         // the caller asked us to stop, so say so — with the trip cause

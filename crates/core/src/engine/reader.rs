@@ -1,6 +1,6 @@
 //! Bounded-memory streaming `9CSF` frame ingestion.
 //!
-//! [`FrameReader`] pulls a frame incrementally from any [`io::Read`] —
+//! [`FrameReader`] pulls a frame incrementally from any [`std::io::Read`] —
 //! a pipe, a socket, a file too large to map — and yields one
 //! [`StreamItem`] per segment without ever materializing the whole
 //! frame. Memory is bounded by the [`DecodeLimits`]: the internal
@@ -9,7 +9,7 @@
 //!
 //! The reader runs no walk of its own: it feeds its window to the plan
 //! builder's frame walker ([`crate::engine::plan`]) and hands on each
-//! [`PlanEntry`](crate::engine::PlanEntry) as an owned item, so it
+//! [`PlanEntry`] as an owned item, so it
 //! yields the same byte ranges, damage reasons and claimed trits as
 //! [`Engine::build_plan`] on the same bytes. Segment-level damage (a bad
 //! CRC, a torn write, a truncated tail) never fails the stream: the walk
@@ -466,7 +466,7 @@ fn owned(entry: PlanEntry<'_>, index: usize, window: &[u8], base: usize) -> Stre
 }
 
 impl Engine {
-    /// Decodes a `9CSF` frame **strictly** from any [`io::Read`] source
+    /// Decodes a `9CSF` frame **strictly** from any [`std::io::Read`] source
     /// without materializing the frame: segments stream through a
     /// bounded window ([`DecodeLimits::max_shard_bytes`] + one chunk)
     /// and decode in thread-count batches on the executor. The result —

@@ -474,10 +474,13 @@ pub(crate) fn execute(
             }
         }
     }
-    crate::metrics::publish_repair_failures(repair_failures);
+    crate::metrics::publish_count(crate::metrics::ECC_REPAIR_FAILURES, repair_failures);
     let repaired_at: HashMap<usize, &Rebuilt> =
         rebuilt.iter().map(|rb| (rb.seg.index, rb)).collect();
-    crate::metrics::publish_repaired_segments(repaired_at.len() as u64);
+    crate::metrics::publish_count(
+        crate::metrics::ECC_REPAIRED_SEGMENTS,
+        repaired_at.len() as u64,
+    );
 
     // Trusted lengths: intact + repaired segments. Untrusted:
     // unrepaired damaged claims.
@@ -705,10 +708,10 @@ pub(crate) fn execute(
             reason,
         });
     }
-    crate::metrics::publish_worker_panics(panics);
-    crate::metrics::publish_cancelled_jobs(cancelled);
+    crate::metrics::publish_count(crate::metrics::ENGINE_WORKER_PANICS, panics);
+    crate::metrics::publish_count(crate::metrics::ENGINE_CANCELLED_JOBS, cancelled);
     if !damaged.is_empty() {
-        crate::metrics::publish_salvaged_segments(recovered as u64);
+        crate::metrics::publish_count(crate::metrics::ENGINE_SALVAGED_SEGMENTS, recovered as u64);
         // A partial salvage is a flush trigger: make sure this thread's
         // events are visible to `take_trace` even if the thread lives on.
         ninec_obs::flush_thread_trace();

@@ -30,8 +30,8 @@
 //!   byte-identical to the serial path at any thread count;
 //! - [`analysis`] — compression-ratio and test-application-time models;
 //! - [`metrics`] — the crate's telemetry names and batched publishing
-//!   into the [`ninec_obs`] global registry (compiled out without the
-//!   default-on `obs` feature);
+//!   into the [`ninec_obs`] global registry (skipped while
+//!   [`ninec_obs::runtime_enabled`] is off);
 //! - [`freqdir`] — frequency-directed codeword reassignment (Table VII);
 //! - [`multiscan`] — vertical data arrangement for `m` scan chains
 //!   (reduced pin-count testing, Figures 3–4).

@@ -7,9 +7,9 @@
 //!
 //! Publishing is *batched*: the streaming encoder/decoder tally into
 //! plain local structs on the hot path and flush once per run through
-//! [`publish_encode`] / histogram helpers here, guarded by
-//! [`ninec_obs::runtime_enabled`] — with the `obs` feature off the
-//! whole module body compiles to nothing.
+//! [`publish_encode`], [`publish_count`] and the histogram helpers here.
+//! Every helper is guarded by [`ninec_obs::runtime_enabled`], so with
+//! runtime telemetry off nothing reaches the registry.
 
 use crate::code::{CodeTable, ALL_CASES};
 use crate::encode::EncodeStats;
@@ -36,6 +36,7 @@ pub const ENCODE_THROUGHPUT: &str = "ninec.encode.throughput_mbit_s";
 
 /// Counter: jobs completed by executor workers — segment encodes, decodes,
 /// repair and salvage jobs — at every thread count, the caller included.
+/// Each worker flushes its tally once, at exit.
 pub const ENGINE_SEGMENTS: &str = "ninec.engine.segments";
 /// Histogram: wall-clock nanoseconds spent encoding one segment.
 pub const ENGINE_SEG_ENCODE_NS: &str = "ninec.engine.segment.encode_ns";
@@ -60,15 +61,6 @@ pub fn publish_worker_busy(worker: usize, nanos: u64) {
         .add(nanos);
 }
 
-/// Flushes one executor worker's completed-job tally into
-/// [`ENGINE_SEGMENTS`] — one batched flush per worker exit.
-pub fn publish_pool_worker(done: u64) {
-    if !ninec_obs::runtime_enabled() || done == 0 {
-        return;
-    }
-    ninec_obs::global().counter(ENGINE_SEGMENTS).add(done);
-}
-
 /// Records one segment's encode latency in nanoseconds.
 pub fn publish_segment_encode(nanos: u64) {
     if !ninec_obs::runtime_enabled() {
@@ -85,15 +77,17 @@ pub fn publish_segment_decode(nanos: u64) {
     ninec_obs::histogram(ENGINE_SEG_DECODE_NS).record(nanos);
 }
 
-/// Counter: 9CSF CRC mismatches (file-header or segment) seen while
-/// parsing or salvage-scanning frames.
+/// Counter: 9CSF CRC mismatches (file-header or segment) seen on a
+/// frame's main parse or scan walk. Resync probes never count: they are
+/// expected to fail.
 pub const FRAME_CRC_FAILURES: &str = "ninec.frame.crc_failures";
-/// Counter: full header/CRC scan passes over a frame body. One
-/// plan-then-execute decode — strict, repair or salvage, or the whole
-/// ladder sharing one [`crate::engine::FramePlan`] — costs exactly one
-/// pass; the pre-plan ladder cost up to three.
+/// Counter: full header/CRC scan passes over a frame body, one per
+/// [`crate::engine::FramePlan`] build. One plan-then-execute decode —
+/// strict, repair or salvage, or the whole ladder sharing one plan —
+/// costs exactly one pass; the pre-plan ladder cost up to three.
 pub const FRAME_SCAN_PASSES: &str = "ninec.frame.scan_passes";
-/// Counter: frames or segments rejected by [`crate::engine::DecodeLimits`].
+/// Counter: frames or segments rejected by a
+/// [`crate::engine::DecodeLimits`] ceiling before any allocation happened.
 pub const FRAME_LIMIT_REJECTIONS: &str = "ninec.frame.limit_rejections";
 /// Counter: byte positions probed for the next valid segment after
 /// damage (plan walk and streaming reader).
@@ -103,7 +97,8 @@ pub const FRAME_RESYNC_PROBES: &str = "ninec.frame.resync_probes";
 /// payload sizes the probed headers claim.
 pub const FRAME_RESYNC_CRC_BYTES: &str = "ninec.frame.resync_crc_bytes";
 /// Counter: segments recovered byte-identically by salvage-mode decode
-/// from frames that contained damage.
+/// from frames that contained damage, once per salvage run (clean
+/// frames record nothing).
 pub const ENGINE_SALVAGED_SEGMENTS: &str = "ninec.engine.salvaged_segments";
 /// Counter: decode worker panics caught by the panic-isolated pool.
 pub const ENGINE_WORKER_PANICS: &str = "ninec.engine.worker_panics";
@@ -111,23 +106,14 @@ pub const ENGINE_WORKER_PANICS: &str = "ninec.engine.worker_panics";
 /// [`crate::CancelToken`] tripped (cancel or deadline) mid-decode.
 pub const ENGINE_CANCELLED_JOBS: &str = "ninec.engine.cancelled_jobs";
 
-/// Records header/CRC scan passes over a frame body (one per
-/// [`crate::engine::FramePlan`] build). Proves the plan-then-execute
-/// ladder scans a damaged frame exactly once.
-pub fn publish_scan_passes(n: u64) {
+/// Adds `n` to the single counter `name` — the one batched flush of a
+/// run's tally. Skipped while runtime telemetry is off, and when
+/// `n == 0`, so a run that saw nothing registers nothing.
+pub fn publish_count(name: &str, n: u64) {
     if !ninec_obs::runtime_enabled() || n == 0 {
         return;
     }
-    ninec_obs::global().counter(FRAME_SCAN_PASSES).add(n);
-}
-
-/// Records CRC verification failures seen on a frame's main parse/scan
-/// walk (resync probing never counts — probes are expected to fail).
-pub fn publish_crc_failures(n: u64) {
-    if !ninec_obs::runtime_enabled() || n == 0 {
-        return;
-    }
-    ninec_obs::global().counter(FRAME_CRC_FAILURES).add(n);
+    ninec_obs::global().counter(name).add(n);
 }
 
 /// Records one resynchronisation: positions probed and bytes
@@ -143,42 +129,9 @@ pub fn publish_resync(probes: usize, crc_bytes: usize) {
         .add(crc_bytes as u64);
 }
 
-/// Records frames/segments rejected by a [`crate::engine::DecodeLimits`]
-/// ceiling before any allocation happened.
-pub fn publish_limit_rejections(n: u64) {
-    if !ninec_obs::runtime_enabled() || n == 0 {
-        return;
-    }
-    ninec_obs::global().counter(FRAME_LIMIT_REJECTIONS).add(n);
-}
-
-/// Records intact segments recovered by a salvage decode of a damaged
-/// frame (batched once per salvage run; clean frames record nothing).
-pub fn publish_salvaged_segments(n: u64) {
-    if !ninec_obs::runtime_enabled() || n == 0 {
-        return;
-    }
-    ninec_obs::global().counter(ENGINE_SALVAGED_SEGMENTS).add(n);
-}
-
-/// Records decode-worker panics caught and isolated by the engine pool.
-pub fn publish_worker_panics(n: u64) {
-    if !ninec_obs::runtime_enabled() || n == 0 {
-        return;
-    }
-    ninec_obs::global().counter(ENGINE_WORKER_PANICS).add(n);
-}
-
-/// Records segment jobs abandoned at the cancellation boundary.
-pub fn publish_cancelled_jobs(n: u64) {
-    if !ninec_obs::runtime_enabled() || n == 0 {
-        return;
-    }
-    ninec_obs::global().counter(ENGINE_CANCELLED_JOBS).add(n);
-}
-
 /// Counter: damaged segments rebuilt byte-exactly by GF(256) erasure
-/// repair (frame v3 parity groups) and accepted after re-CRC.
+/// repair (frame v3 parity groups) and accepted after re-CRC, once per
+/// repair run (nothing recorded when no repair happened).
 pub const ECC_REPAIRED_SEGMENTS: &str = "ninec.ecc.repaired_segments";
 /// Counter: parity bits emitted by v3 frame encodes (parity segment
 /// headers + shard payloads, in bits).
@@ -187,31 +140,6 @@ pub const ECC_PARITY_BITS: &str = "ninec.ecc.parity_bits";
 /// (over-budget erasures, dead parity, failed re-CRC) — these fell
 /// through to salvage X-erasure.
 pub const ECC_REPAIR_FAILURES: &str = "ninec.ecc.repair_failures";
-
-/// Records segments rebuilt from parity by the repair rung (batched
-/// once per repair run; nothing recorded when no repair happened).
-pub fn publish_repaired_segments(n: u64) {
-    if !ninec_obs::runtime_enabled() || n == 0 {
-        return;
-    }
-    ninec_obs::global().counter(ECC_REPAIRED_SEGMENTS).add(n);
-}
-
-/// Records the parity overhead (in bits) added to an encoded v3 frame.
-pub fn publish_parity_bits(n: u64) {
-    if !ninec_obs::runtime_enabled() || n == 0 {
-        return;
-    }
-    ninec_obs::global().counter(ECC_PARITY_BITS).add(n);
-}
-
-/// Records damaged segments the repair rung failed to reconstruct.
-pub fn publish_repair_failures(n: u64) {
-    if !ninec_obs::runtime_enabled() || n == 0 {
-        return;
-    }
-    ninec_obs::global().counter(ECC_REPAIR_FAILURES).add(n);
-}
 
 /// Counter: segments whose CRC (and, where grouped, parity) the archive
 /// scrubber walked.
@@ -223,7 +151,7 @@ pub const ARCHIVE_REPAIRED_SEGMENTS: &str = "ninec.archive.repaired_segments";
 /// unrecoverable.
 pub const ARCHIVE_LOST_SEGMENTS: &str = "ninec.archive.lost_segments";
 /// Counter: segment appends satisfied by the content-addressed dedup
-/// table instead of new data-file bytes.
+/// table instead of new data-file bytes, once per archive append.
 pub const ARCHIVE_DEDUP_HITS: &str = "ninec.archive.dedup_hits";
 
 /// Flushes one scrub pass's tallies (segments walked / repaired / lost)
@@ -242,15 +170,6 @@ pub fn publish_archive_scrub(scrubbed: u64, repaired: u64, lost: u64) {
     }
 }
 
-/// Records segment appends deduplicated against already-stored blobs
-/// (batched once per archive append).
-pub fn publish_archive_dedup_hits(n: u64) {
-    if !ninec_obs::runtime_enabled() || n == 0 {
-        return;
-    }
-    ninec_obs::global().counter(ARCHIVE_DEDUP_HITS).add(n);
-}
-
 /// Counter: decode runs completed.
 pub const DECODE_RUNS: &str = "ninec.decode.runs";
 /// Counter: blocks decoded.
@@ -264,8 +183,7 @@ pub const DECODE_SYMBOLS_OUT: &str = "ninec.decode.symbols_out";
 ///
 /// `table`/`k` reconstruct the per-block size distribution from the case
 /// counts (`N_i` samples of `|C_i| + payload_i(K)` each), so the hot loop
-/// never touches a histogram. No-op unless telemetry is compiled in *and*
-/// runtime-enabled.
+/// never touches a histogram. No-op while runtime telemetry is off.
 pub fn publish_encode(stats: &EncodeStats, source_len: usize, table: &CodeTable, k: usize) {
     if !ninec_obs::runtime_enabled() {
         return;
@@ -307,7 +225,7 @@ pub fn publish_encode_throughput(source_bits: usize, secs: f64) {
 
 /// Flushes one decode run's totals into the global registry.
 ///
-/// No-op unless telemetry is compiled in *and* runtime-enabled.
+/// No-op while runtime telemetry is off.
 pub fn publish_decode(blocks: u64, bits_in: u64, symbols_out: u64) {
     if !ninec_obs::runtime_enabled() {
         return;
@@ -348,12 +266,8 @@ mod tests {
             leftover_x: 4,
         };
         publish_encode(&stats, 48, &table, 8);
-        if ninec_obs::is_compiled() {
-            let snap = ninec_obs::snapshot();
-            assert!(snap.counter(ENCODE_BLOCKS).unwrap_or(0) >= 6);
-            assert!(snap.histogram(ENCODE_BLOCK_BITS).is_some());
-        } else {
-            assert!(ninec_obs::snapshot().is_empty());
-        }
+        let snap = ninec_obs::snapshot();
+        assert!(snap.counter(ENCODE_BLOCKS).unwrap_or(0) >= 6);
+        assert!(snap.histogram(ENCODE_BLOCK_BITS).is_some());
     }
 }

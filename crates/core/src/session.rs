@@ -150,7 +150,7 @@ impl DecodeSession {
     /// Makes [`decode_frame`](DecodeSession::decode_frame) run under a
     /// fresh flight-recorder trace and attach the [`DecodeAudit`] rollup
     /// to the outcome: one entry per segment naming the ladder rung it
-    /// resolved on plus — when tracing is compiled in and enabled — the
+    /// resolved on plus — while the flight recorder is on — the
     /// worker that decoded it and the decode wall-clock. The thread's
     /// trace buffer is flushed to the global recorder on every exit, so
     /// [`ninec_obs::take_trace`] always sees the decode's events.

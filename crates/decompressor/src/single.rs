@@ -223,7 +223,7 @@ impl SingleScanDecoder {
             trace.scan_out = trace.scan_out.iter().take(out_len).collect();
         }
         // Batched telemetry flush: the per-tick FSM loop above never
-        // touches an atomic. No-op with `obs` off or runtime-disabled.
+        // touches an atomic. No-op while runtime telemetry is off.
         if ninec_obs::runtime_enabled() {
             let reg = ninec_obs::global();
             reg.counter("ninec.decomp.single.runs").inc();

@@ -1,9 +1,8 @@
 //! Snapshot types and the two exposition formats.
 //!
 //! A [`Snapshot`] is a point-in-time copy of a registry's metrics, fully
-//! decoupled from the live atomics: it exists in both the real and the
-//! no-op build (where it is simply always empty), so exporters and their
-//! golden tests are feature-independent.
+//! decoupled from the live atomics, so exporters and their golden tests
+//! can build one by hand without touching the global registry.
 //!
 //! Two renderers are provided:
 //!

@@ -19,19 +19,14 @@
 //! - [`export::Snapshot`] — a decoupled point-in-time copy with
 //!   Prometheus-text and JSON renderers.
 //!
-//! ## Feature story
+//! ## Switching telemetry off
 //!
-//! The default-on `enabled` feature selects the real implementation.
-//! With `--no-default-features` every type degenerates to a unit struct
-//! and every operation to an inlined empty body — call sites need no
-//! `cfg` guards, and the optimizer removes the instrumentation from the
-//! data plane entirely ([`is_compiled`] reports which build you got).
-//! [`export`] is compiled in both builds so exporters and golden tests
-//! are feature-independent.
-//!
-//! On top of the compile-time switch there is a *runtime* kill switch,
-//! [`set_runtime_enabled`]: benchmarks flip it to measure the
-//! obs-on vs obs-off delta inside a single binary.
+//! There is one build. [`set_runtime_enabled`] is the kill switch:
+//! with it off, no call site in the workspace publishes a metric or
+//! records a trace event, so the registry and the recorder stay as they
+//! were. [`set_trace_enabled`] turns off the flight recorder alone.
+//! Benchmarks flip these switches to measure the telemetry on/off delta
+//! inside a single binary.
 //!
 //! ## Example
 //!
@@ -48,35 +43,18 @@
 //!     // ... timed work ...
 //! }
 //! let snap = obs::snapshot();
-//! # #[cfg(feature = "enabled")]
 //! assert_eq!(snap.counter("ninec.encode.case.C1"), Some(3));
 //! let _text = snap.render_prometheus();
 //! let _json = snap.render_json();
 //! ```
-//!
-//! (With the feature disabled the snapshot is empty and the renderers
-//! produce valid empty documents — the example compiles either way.)
 
 #![warn(missing_docs)]
 
 pub mod export;
 pub mod trace;
 
-#[cfg(feature = "enabled")]
 mod live;
-#[cfg(feature = "enabled")]
 pub use live::{
-    begin_trace, current_trace, flush_thread_trace, global, is_compiled, runtime_enabled,
-    set_runtime_enabled, set_trace_context, set_trace_enabled, set_trace_spans, set_trace_worker,
-    snapshot_trace, span, take_spans, take_trace, trace_context, trace_enabled, trace_instant,
-    trace_span_scope, trace_worker, Counter, Gauge, Histogram, Registry, SpanEvent, SpanTimer,
-    TraceScope,
-};
-
-#[cfg(not(feature = "enabled"))]
-mod noop;
-#[cfg(not(feature = "enabled"))]
-pub use noop::{
     begin_trace, current_trace, flush_thread_trace, global, is_compiled, runtime_enabled,
     set_runtime_enabled, set_trace_context, set_trace_enabled, set_trace_spans, set_trace_worker,
     snapshot_trace, span, take_spans, take_trace, trace_context, trace_enabled, trace_instant,

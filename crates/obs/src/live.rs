@@ -1,5 +1,5 @@
-//! The real (feature `enabled`) metric implementation: lock-free atomic
-//! cells behind cloneable handles, registered in a named [`Registry`].
+//! The metric implementation: lock-free atomic cells behind cloneable
+//! handles, registered in a named [`Registry`].
 //!
 //! Handles are cheap `Arc`s onto the shared atomic state; the registry
 //! mutex is touched only at registration/snapshot time, never on the hot
@@ -327,22 +327,24 @@ pub fn global() -> &'static Registry {
 
 static RUNTIME: AtomicBool = AtomicBool::new(true);
 
-/// Runtime kill switch consulted by the instrumentation call sites
-/// (flushes and span timers). Defaults to on; the `benchmark/` package's
-/// traced bulk runs turn it off for every third decode, so one binary
-/// measures the obs-on vs obs-off delta without a rebuild.
+/// Runtime kill switch consulted by every instrumentation call site
+/// (flushes, span timers and the flight recorder): while it is off, no
+/// metric is published and no trace event recorded. Defaults to on; the
+/// `benchmark/` package's traced bulk runs turn it off for every third
+/// decode, so one binary measures the obs-on vs obs-off delta.
 pub fn set_runtime_enabled(on: bool) {
     RUNTIME.store(on, Ordering::Relaxed);
 }
 
-/// Whether runtime collection is currently on (always `false` in the
-/// no-op build).
+/// Whether runtime collection is currently on.
 #[must_use]
 pub fn runtime_enabled() -> bool {
     RUNTIME.load(Ordering::Relaxed)
 }
 
-/// `true` when the crate was compiled with the `enabled` feature.
+/// Always `true`: telemetry has one build, switched off at run time
+/// with [`set_runtime_enabled`]. Kept only because the `benchmark/`
+/// package records it in its machine fingerprint.
 #[must_use]
 pub const fn is_compiled() -> bool {
     true
@@ -555,8 +557,8 @@ pub fn set_trace_enabled(on: bool) {
     TRACE_ON.store(on, Ordering::Relaxed);
 }
 
-/// Whether the flight recorder is currently capturing events (always
-/// `false` in the no-op build).
+/// Whether the flight recorder is currently capturing events: both its
+/// own switch and [`runtime_enabled`] are on.
 #[must_use]
 pub fn trace_enabled() -> bool {
     TRACE_ON.load(Ordering::Relaxed) && runtime_enabled()

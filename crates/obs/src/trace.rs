@@ -8,10 +8,10 @@
 //! segment — enough to reconstruct the Fig 4c per-decoder load picture
 //! as a timeline instead of a histogram.
 //!
-//! Like [`crate::export`], this module is compiled in **both** builds
-//! (the `enabled` feature only gates the recorder): renderers and their
-//! golden tests are feature-independent, and with the feature off the
-//! recorder simply never produces events.
+//! Like [`crate::export`], this module holds only data and renderers;
+//! the recorder that produces events lives beside the registry. Golden
+//! tests build events by hand, and while [`crate::trace_enabled`] is
+//! off the recorder produces none.
 //!
 //! Two renderers are provided:
 //!

@@ -1,8 +1,5 @@
 //! Multi-threaded hammer test: 8 threads increment the same counter and
 //! histogram handles; totals must be exact (no lost updates).
-//!
-//! Only meaningful in the real build — with the feature off the metrics
-//! are inert and the assertions flip to the always-zero contract.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread;
@@ -30,22 +27,17 @@ fn eight_threads_exact_totals() {
         }
     });
 
-    if ninec_obs::is_compiled() {
-        assert_eq!(counter.get(), THREADS * ITERS);
-        assert_eq!(hist.count(), THREADS * ITERS);
-        // Sum of 0 .. THREADS*ITERS - 1.
-        let n = THREADS * ITERS;
-        assert_eq!(hist.sum(), n * (n - 1) / 2);
-        assert_eq!(hist.min(), Some(0));
-        assert_eq!(hist.max(), Some(n - 1));
-        // The snapshot agrees and its buckets account for every sample.
-        let snap = reg.snapshot();
-        let hs = snap.histogram("conc.values").unwrap();
-        assert_eq!(hs.buckets.iter().map(|&(_, c)| c).sum::<u64>(), n);
-    } else {
-        assert_eq!(counter.get(), 0);
-        assert_eq!(hist.count(), 0);
-    }
+    assert_eq!(counter.get(), THREADS * ITERS);
+    assert_eq!(hist.count(), THREADS * ITERS);
+    // Sum of 0 .. THREADS*ITERS - 1.
+    let n = THREADS * ITERS;
+    assert_eq!(hist.sum(), n * (n - 1) / 2);
+    assert_eq!(hist.min(), Some(0));
+    assert_eq!(hist.max(), Some(n - 1));
+    // The snapshot agrees and its buckets account for every sample.
+    let snap = reg.snapshot();
+    let hs = snap.histogram("conc.values").unwrap();
+    assert_eq!(hs.buckets.iter().map(|&(_, c)| c).sum::<u64>(), n);
 }
 
 #[test]
@@ -85,15 +77,13 @@ fn snapshot_under_load_is_internally_consistent() {
     });
 
     // Quiesced: the final snapshot agrees with the handle exactly.
-    if ninec_obs::is_compiled() {
-        let snap = reg.snapshot();
-        let hs = snap.histogram("conc.load.values").unwrap();
-        assert_eq!(hs.count, hist.count());
-        assert_eq!(
-            hs.buckets.iter().map(|&(_, c)| c).sum::<u64>(),
-            hist.count()
-        );
-    }
+    let snap = reg.snapshot();
+    let hs = snap.histogram("conc.load.values").unwrap();
+    assert_eq!(hs.count, hist.count());
+    assert_eq!(
+        hs.buckets.iter().map(|&(_, c)| c).sum::<u64>(),
+        hist.count()
+    );
 }
 
 #[test]
@@ -109,7 +99,5 @@ fn concurrent_get_or_register_is_one_handle() {
             });
         }
     });
-    if ninec_obs::is_compiled() {
-        assert_eq!(reg.counter("conc.shared").get(), THREADS * ITERS);
-    }
+    assert_eq!(reg.counter("conc.shared").get(), THREADS * ITERS);
 }

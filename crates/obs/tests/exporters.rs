@@ -66,8 +66,6 @@ fn empty_snapshot_documents_are_stable() {
 }
 
 /// End-to-end through the live registry: record → snapshot → render.
-/// With the feature off the registry is inert, so the snapshot is empty
-/// and both renderers still produce valid (empty) documents.
 #[test]
 fn registry_snapshot_round_trip() {
     let reg = ninec_obs::global();
@@ -77,22 +75,16 @@ fn registry_snapshot_round_trip() {
     h.record(3);
     h.record(9);
     let snap = reg.snapshot();
-    if ninec_obs::is_compiled() {
-        assert_eq!(snap.counter("exp.hits"), Some(4));
-        assert_eq!(snap.gauge("exp.ratio"), Some(0.5));
-        let hs = snap.histogram("exp.lat").unwrap();
-        assert_eq!(hs.count, 2);
-        assert_eq!(hs.sum, 12);
-        assert_eq!(hs.min, Some(3));
-        assert_eq!(hs.max, Some(9));
-        let text = snap.render_prometheus();
-        assert!(text.contains("exp_hits 4\n"));
-        assert!(text.contains("exp_lat_bucket{le=\"+Inf\"} 2\n"));
-    } else {
-        assert!(snap.is_empty());
-        assert_eq!(snap.render_prometheus(), "");
-    }
-    // Valid JSON in both builds.
+    assert_eq!(snap.counter("exp.hits"), Some(4));
+    assert_eq!(snap.gauge("exp.ratio"), Some(0.5));
+    let hs = snap.histogram("exp.lat").unwrap();
+    assert_eq!(hs.count, 2);
+    assert_eq!(hs.sum, 12);
+    assert_eq!(hs.min, Some(3));
+    assert_eq!(hs.max, Some(9));
+    let text = snap.render_prometheus();
+    assert!(text.contains("exp_hits 4\n"));
+    assert!(text.contains("exp_lat_bucket{le=\"+Inf\"} 2\n"));
     let json = snap.render_json();
     assert!(json.starts_with('{') && json.ends_with('}'));
 }

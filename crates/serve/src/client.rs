@@ -639,7 +639,7 @@ impl RetryingClient {
             }
             attempt += 1;
             self.retries += 1;
-            ninec_obs::counter("ninec.serve.client_retries").add(1);
+            ninec::metrics::publish_count("ninec.serve.client_retries", 1);
             std::thread::sleep(sleep);
         }
     }

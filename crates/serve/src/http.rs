@@ -11,8 +11,8 @@
 //!   `chrome://tracing` / Perfetto trace-event document (JSON array);
 //! - `/healthz` — `ok`, for liveness probes and the CI smoke.
 //!
-//! With telemetry compiled out (`--no-default-features`) both exporters
-//! still answer 200 with valid empty documents.
+//! With runtime telemetry off (`ninec_obs::set_runtime_enabled(false)`)
+//! both exporters still answer 200, with whatever was recorded before.
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};

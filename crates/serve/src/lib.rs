@@ -109,10 +109,9 @@ pub struct ServeConfig {
     /// Tenant declarations (see [`tenant::parse_tenants`]); the
     /// unlimited `default` tenant always exists in addition.
     pub tenants: Vec<TenantConfig>,
-    /// Path of a `9CA` archive to host for
-    /// [`Op::ArchiveRange`](wire::Op::ArchiveRange) random-access range
-    /// decodes. Opened (and its epoch index validated) at startup;
-    /// `None` answers the verb with `BadRequest`.
+    /// Path of a `9CA` archive to host for [`Op::ArchiveRange`]
+    /// random-access range decodes. Opened (and its epoch index
+    /// validated) at startup; `None` answers the verb with `BadRequest`.
     pub archive: Option<String>,
 }
 

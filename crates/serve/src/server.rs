@@ -24,7 +24,7 @@
 //!    [`max_inflight`](ServeConfig::max_inflight) requests decode at
 //!    once; the rest refuse with [`Status::Busy`].
 //! 3. **Degradation** — when in-flight requests plus the executor's
-//!    [`active_jobs`](ninec::engine::active_jobs) tally reach
+//!    [`active_jobs`] tally reach
 //!    [`degrade_threshold`](ServeConfig::degrade_threshold), the server
 //!    sheds optional work instead of refusing: repair/salvage decodes
 //!    downgrade to strict-only (the cheap rung), the response carries
@@ -73,7 +73,7 @@ pub struct StatsSnapshot {
 }
 
 /// Internal atomic counters, mirrored into the `ninec.serve.*`
-/// observability namespace as they tick.
+/// observability namespace as they tick while runtime telemetry is on.
 #[derive(Debug, Default)]
 pub(crate) struct Stats {
     connections: AtomicU64,
@@ -90,7 +90,7 @@ pub(crate) struct Stats {
 impl Stats {
     fn tick(field: &AtomicU64, metric: &str) {
         field.fetch_add(1, Ordering::Relaxed);
-        ninec_obs::counter(metric).add(1);
+        ninec::metrics::publish_count(metric, 1);
     }
 
     fn snapshot(&self) -> StatsSnapshot {
@@ -754,7 +754,7 @@ fn decode(
         // connection dying mid-decode — is a typed timeout, not a decode
         // failure: the frame itself was never judged.
         Err(e @ (ninec::DecodeError::Cancelled | ninec::DecodeError::DeadlineExceeded)) => {
-            ninec_obs::counter("ninec.serve.cancelled_jobs").add(1);
+            ninec::metrics::publish_count("ninec.serve.cancelled_jobs", 1);
             (Status::DeadlineExceeded, e.to_string().into_bytes())
         }
         Err(e) => (Status::Failed, e.to_string().into_bytes()),

@@ -229,12 +229,10 @@ fn metrics_trace_and_healthz_endpoints_serve() {
     assert_eq!(health, "ok\n");
 
     let metrics = ninec_serve::client::http_get(http, "/metrics").expect("metrics");
-    if ninec_obs::is_compiled() {
-        assert!(
-            metrics.contains("ninec_serve_requests"),
-            "prometheus text missing serve counters:\n{metrics}"
-        );
-    }
+    assert!(
+        metrics.contains("ninec_serve_requests"),
+        "prometheus text missing serve counters:\n{metrics}"
+    );
 
     let trace = ninec_serve::client::http_get(http, "/trace").expect("trace");
     assert!(

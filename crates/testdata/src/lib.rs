@@ -8,7 +8,7 @@
 //!   reader/writer, the substrate of every compression code;
 //! - [`trit`] — the three-valued symbol [`Trit`] and packed
 //!   [`TritVec`];
-//! - [`slice`] — zero-copy [`TritSlice`] subrange views and the
+//! - [`mod@slice`] — zero-copy [`TritSlice`] subrange views and the
 //!   allocation-free [`slice::Chunks`] cursor streaming consumers iterate;
 //! - [`words`] — word-parallel kernels over packed LSB-first bit ranges
 //!   (popcount classification, cross-boundary word extraction);

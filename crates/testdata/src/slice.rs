@@ -1,7 +1,7 @@
 //! Zero-copy subrange views over packed trit streams.
 //!
-//! [`TritSlice`] borrows the care/value bit-planes of a
-//! [`TritVec`](crate::trit::TritVec) and exposes word-parallel operations
+//! [`TritSlice`] borrows the care/value bit-planes of a [`TritVec`] and
+//! exposes word-parallel operations
 //! (popcount-based counting, mask-based 9C half classification) over an
 //! arbitrary symbol subrange — without copying and without per-symbol enum
 //! dispatch. [`Chunks`] walks a stream in fixed-size slices so codec
@@ -48,8 +48,7 @@ pub struct TritSlice<'a> {
 
 impl<'a> TritSlice<'a> {
     /// Builds a view from raw packed planes (as exposed by
-    /// [`TritVec::care_words`](crate::trit::TritVec::care_words) /
-    /// [`TritVec::value_words`](crate::trit::TritVec::value_words)).
+    /// [`Self::care_words`] / [`Self::value_words`] of another view).
     ///
     /// # Panics
     ///

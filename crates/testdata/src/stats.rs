@@ -106,7 +106,7 @@ impl TestSetStats {
         // One histogram sample per analyzed set: the X-density the paper's
         // LX trade-off depends on, surfaced through the telemetry registry
         // (`testdata.x_density_pct`). Batched here — never in the per-symbol
-        // loop — and compiled out without the `obs` feature.
+        // loop — and skipped while runtime telemetry is off.
         let total = zeros + ones + xs;
         if ninec_obs::runtime_enabled() && total > 0 {
             let pct = xs as f64 / total as f64 * 100.0;

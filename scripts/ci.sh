@@ -57,6 +57,15 @@ done
 echo "==> cargo build --release"
 cargo build --release
 
+# Rustdoc is warning-free for every first-party package (intra-doc links
+# resolve, none is redundant). Packages are named one by one because
+# `--workspace` would also document the vendored crates.
+echo "==> cargo doc (RUSTDOCFLAGS=-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps \
+    -p ninec-suite -p ninec -p ninec-testdata -p ninec-circuit -p ninec-fsim \
+    -p ninec-atpg -p ninec-synth -p ninec-baselines -p ninec-decompressor \
+    -p ninec-bench -p ninec-bist -p ninec-obs -p ninec-serve -p ninec-cli
+
 # Paper-table drift guard: the committed snapshot in results/ must be
 # byte-for-byte what the `tables` bin prints at this commit (both runs
 # are deterministic and independent of the thread count). When a change
@@ -88,11 +97,9 @@ NINEC_THREADS=1 cargo test -q
 echo "==> cargo test -q (NINEC_THREADS=8)"
 NINEC_THREADS=8 cargo test -q
 
-# The root `cargo test` runs only the ninec-suite facade. The member
+# The root `cargo test` runs only the ninec-suite facade. Run the member
 # crates' own tests (core's engine units, serve's service, chaos and soak
-# suites, the obs crate's tests) otherwise run only with telemetry
-# compiled out, below; run them in the default build too, the one that
-# ships and that the benchmark measures, at both thread counts.
+# suites, the obs crate's tests) too, at both thread counts.
 echo "==> cargo test -q --workspace --exclude ninec-suite (NINEC_THREADS=1)"
 NINEC_THREADS=1 cargo test -q --workspace --exclude ninec-suite
 
@@ -104,11 +111,6 @@ NINEC_THREADS=8 cargo test -q --workspace --exclude ninec-suite
 # are still unclaimed is a CI failure, not a flake.
 echo "==> executor priority stress (NINEC_THREADS=8)"
 NINEC_THREADS=8 cargo test -q -p ninec --lib engine::exec::
-
-# The telemetry layer must be provably optional: the whole suite also
-# passes with the obs feature (and every probe it gates) compiled out.
-echo "==> cargo test -q --workspace --no-default-features"
-cargo test -q --workspace --no-default-features
 
 # Fault-injection suite with the deterministic fail points armed: forced
 # worker panics, delays and torn writes inside the pool, at 1 and 8

@@ -7,3 +7,9 @@ pub use ninec_decompressor as decompressor;
 pub use ninec_fsim as fsim;
 pub use ninec_synth as synth;
 pub use ninec_testdata as testdata;
+
+/// Every Rust block of the README, run as a doctest so the examples
+/// there cannot drift from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;

@@ -73,27 +73,19 @@ proptest! {
         let (cases_after, blocks_after) = registry_counts();
         let stats = encoded.stats();
 
-        if ninec_obs::is_compiled() {
-            for i in 0..9 {
-                prop_assert_eq!(
-                    cases_after[i] - cases_before[i],
-                    stats.case_counts[i],
-                    "case C{} delta diverged from EncodeStats (k={})",
-                    i + 1,
-                    k
-                );
-            }
-            prop_assert_eq!(blocks_after - blocks_before, stats.blocks);
-            // The per-case counters and the block counter are two
-            // independent accumulations of the same loop.
-            let total: u64 = stats.case_counts.iter().sum();
-            prop_assert_eq!(total, stats.blocks);
-        } else {
-            // Compiled out: the registry stays silent, the local tally
-            // still works.
-            prop_assert_eq!(cases_after, [0u64; 9]);
-            prop_assert_eq!(blocks_after, 0);
-            prop_assert!(stats.blocks > 0);
+        for i in 0..9 {
+            prop_assert_eq!(
+                cases_after[i] - cases_before[i],
+                stats.case_counts[i],
+                "case C{} delta diverged from EncodeStats (k={})",
+                i + 1,
+                k
+            );
         }
+        prop_assert_eq!(blocks_after - blocks_before, stats.blocks);
+        // The per-case counters and the block counter are two
+        // independent accumulations of the same loop.
+        let total: u64 = stats.case_counts.iter().sum();
+        prop_assert_eq!(total, stats.blocks);
     }
 }

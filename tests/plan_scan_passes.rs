@@ -69,9 +69,6 @@ fn damage(clean: &[u8], data: &[std::ops::Range<usize>], segments: &[usize]) -> 
 
 #[test]
 fn whole_ladder_costs_one_scan_pass() {
-    if !ninec_obs::is_compiled() {
-        return;
-    }
     let _registry = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
     // A damaged v3 frame: strict fails, repair rebuilds it bit-exact.
     let set = SyntheticProfile::new("scanpass", 24, 64, 0.72).generate(5);
@@ -186,9 +183,6 @@ fn whole_ladder_costs_one_scan_pass() {
 /// data-segment count to `ninec.engine.segments` at any thread count.
 #[test]
 fn engine_segments_count_every_decoded_segment() {
-    if !ninec_obs::is_compiled() {
-        return;
-    }
     let _registry = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
     let set = SyntheticProfile::new("segments", 24, 64, 0.72).generate(7);
     for threads in [1usize, 2] {

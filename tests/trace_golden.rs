@@ -28,12 +28,6 @@ fn check_golden(name: &str, rendered: &str) {
 
 #[test]
 fn seeded_decode_chrome_trace_matches_golden() {
-    if !ninec_obs::is_compiled() {
-        // Compiled out: the recorder drains empty, nothing to pin.
-        assert!(ninec_obs::take_trace().is_empty());
-        return;
-    }
-
     // Deterministic input: seeded synthetic set, serial engine, one
     // corrupted payload byte that the 4:1 parity group rebuilds.
     let set = SyntheticProfile::new("trace", 24, 64, 0.72).generate(9);

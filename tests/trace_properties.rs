@@ -43,10 +43,6 @@ proptest! {
     fn spans_pair_up_and_parents_strictly_contain_children(
         ops in proptest::collection::vec(0u8..6, 0..200),
     ) {
-        if !ninec_obs::is_compiled() {
-            prop_assert!(ninec_obs::take_trace().is_empty());
-            return Ok(());
-        }
         let _ = ninec_obs::take_trace();
         let trace = ninec_obs::begin_trace();
         run_ops(&ops);
