@@ -2,20 +2,26 @@
 //! *every* input — same decoded trits, same typed errors (hence the same
 //! CLI exit codes), same damage maps.
 //!
-//! Three layers:
+//! Four layers:
 //!
 //! 1. replay of every committed corpus frame (`tests/corpus/*.9cf`);
 //! 2. an exhaustive single-byte mutation sweep over a golden v2 and a
 //!    golden v3 frame (every offset × two mutation values, plus every
 //!    truncation length on the corpus frames' generator seed);
 //! 3. proptest campaigns across `K ∈ {4, 8, 16, 32}` × threads
-//!    `{1, 8}` with random multi-site corruption.
+//!    `{1, 8}` with random multi-site corruption;
+//! 4. the 9C codec's own outcomes: seeded raw streams over four code
+//!    tables and seven block sizes, CRC-valid forged frames whose
+//!    payloads fail 9C decoding, and the payload unpack with a reserved
+//!    `11` code or a cut at every position.
 //!
-//! Layers 1 and 2 are pinned by *outcome goldens* under
+//! Layers 1, 2 and 4 are pinned by *outcome goldens* under
 //! `tests/golden/outcomes_*.txt`: one line per input holding a 64-bit
-//! digest of the `Debug` text of five results — [`Engine::decode_frame`],
-//! [`Engine::build_plan`] and [`Engine::execute_plan`] at every
-//! [`Policy`] on that plan. They record the typed errors and damage maps
+//! digest of the `Debug` text of its results. A frame has five —
+//! [`Engine::decode_frame`], [`Engine::build_plan`] and
+//! [`Engine::execute_plan`] at every [`Policy`] on that plan; a raw
+//! stream or a payload has the one `decode_trits` or `unpack_payload`
+//! result. They record the typed errors and damage maps
 //! against history rather than against a second implementation.
 //! Regenerate them only after an intended behaviour change, with
 //! `OUTCOME_BLESS=1 cargo test --test ladder_equivalence`.
@@ -35,10 +41,13 @@
 //! [`FrameReader::next_item`]: ninec::engine::FrameReader::next_item
 //! [`Policy`]: ninec::Policy
 
-use ninec::engine::{DecodeLimits, FrameReader, ReadError, StreamItem};
-use ninec::{DamageReason, DecodeError, Engine, FrameError, PlanEntry, Policy};
+use ninec::engine::{frame, DecodeLimits, FrameReader, ReadError, StreamItem};
+use ninec::{
+    CodeTable, DamageReason, DecodeError, DecodeSession, Encoder, Engine, FrameError, PlanEntry,
+    Policy,
+};
 use ninec_testdata::gen::SyntheticProfile;
-use ninec_testdata::trit::TritVec;
+use ninec_testdata::trit::{Trit, TritVec};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::io::Read;
@@ -520,4 +529,226 @@ proptest! {
             prop_assert_eq!(rungs(1, parity, bytes), rungs(8, parity, bytes));
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// 4. Codec outcomes: the 9C decoder's own typed errors.
+// ---------------------------------------------------------------------------
+//
+// The frame checks and the CRC reject almost every mutated frame above
+// before its payload reaches the 9C decoder, so those goldens barely
+// touch the codec errors. This golden drives the decoder directly: raw
+// streams through `DecodeSession::decode_trits`, CRC-valid forged frames
+// whose payloads fail 9C decoding, and the payload unpack.
+
+/// splitmix64, so the inputs depend on nothing outside this file.
+struct Mix(u64);
+
+impl Mix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    fn trit(&mut self) -> Trit {
+        [Trit::Zero, Trit::One, Trit::X][self.below(3)]
+    }
+
+    fn bit(&mut self) -> Trit {
+        [Trit::Zero, Trit::One][self.below(2)]
+    }
+}
+
+/// The paper's table, a permutation of its lengths, a Kraft sum below 1
+/// (some prefixes match no codeword) and a 16-bit codeword.
+const CODEC_TABLES: [(&str, [u8; 9]); 4] = [
+    ("paper", ninec::code::PAPER_LENGTHS),
+    ("permuted", [4, 2, 5, 5, 5, 5, 5, 5, 1]),
+    ("kraft075", [2, 2, 3, 4, 5, 6, 7, 8, 9]),
+    ("long16", [1, 2, 3, 4, 5, 6, 7, 8, 16]),
+];
+
+const CODEC_KS: [usize; 7] = [4, 6, 8, 16, 32, 64, 130];
+
+/// A source of whole and partial blocks whose halves are zero runs, one
+/// runs, all-X or random, so every one of the nine cases occurs.
+fn codec_source(mix: &mut Mix, k: usize) -> TritVec {
+    let halves = 2 * mix.below(10) + mix.below(2);
+    let mut src = TritVec::new();
+    for _ in 0..halves {
+        let style = mix.below(4);
+        for _ in 0..k / 2 {
+            let x = mix.below(3) == 0;
+            src.push(match style {
+                0 if !x => Trit::Zero,
+                1 if !x => Trit::One,
+                3 => mix.trit(),
+                _ => Trit::X,
+            });
+        }
+    }
+    for _ in 0..mix.below(k) {
+        src.push(mix.trit());
+    }
+    src
+}
+
+/// One raw-stream input: a stream and the source length to ask for.
+/// `mode` picks a clean encoding, a cut, an `X` or a flipped bit at a
+/// random position, a source length past the stream, or random trits or
+/// bits (the latter with a rare `X` far from the stream's start).
+fn codec_stream(mix: &mut Mix, table: &CodeTable, k: usize, mode: usize) -> (TritVec, usize) {
+    let src = codec_source(mix, k);
+    let encoded = Encoder::with_table(k, table.clone())
+        .expect("valid K")
+        .encode_stream(&src);
+    let mut stream = encoded.stream().clone();
+    let mut source_len = src.len();
+    let at = |mix: &mut Mix, len: usize| mix.below(len.max(1));
+    match mode {
+        0 => {}
+        1 => {
+            let cut = at(mix, stream.len());
+            stream.truncate(cut);
+        }
+        2 | 3 if !stream.is_empty() => {
+            let i = at(mix, stream.len());
+            let t = match (mode, stream.get(i)) {
+                (2, _) => Trit::X,
+                (_, Some(Trit::One)) => Trit::Zero,
+                _ => Trit::One,
+            };
+            stream.set(i, t);
+        }
+        4 => source_len += 1 + mix.below(3 * k),
+        5 => {
+            stream = (0..mix.below(64)).map(|_| mix.trit()).collect();
+            source_len = mix.below(8 * k);
+        }
+        _ => {
+            stream = (0..mix.below(6 * k + 24))
+                .map(|_| {
+                    if mix.below(24) == 0 {
+                        Trit::X
+                    } else {
+                        mix.bit()
+                    }
+                })
+                .collect();
+            source_len = mix.below(16 * k);
+        }
+    }
+    (stream, source_len)
+}
+
+/// A CRC-valid v2 frame of one to three segments whose payloads come
+/// from [`codec_stream`]: every frame check passes, so whatever fails,
+/// fails in the 9C decoder.
+fn forged_frame(mix: &mut Mix, lengths: [u8; 9], k: usize) -> Vec<u8> {
+    let table = CodeTable::from_lengths(&lengths).expect("Kraft-valid");
+    let segments: Vec<(usize, TritVec)> = (0..1 + mix.below(3))
+        .map(|_| {
+            let mode = mix.below(8);
+            let (stream, source_len) = codec_stream(mix, &table, k, mode);
+            // The frame check caps a segment's claim at `payload × K`.
+            (source_len.min(stream.len() * k), stream)
+        })
+        .collect();
+    let total: usize = segments.iter().map(|(n, _)| n).sum();
+    let mut bytes = Vec::new();
+    frame::write_header(&mut bytes, lengths, segments.len() as u32, total as u64);
+    for (source_trits, payload) in &segments {
+        frame::write_segment(&mut bytes, k, *source_trits, payload).expect("segment fits");
+    }
+    bytes
+}
+
+#[test]
+fn codec_outcomes_match_their_golden() {
+    let mut outcomes = Vec::new();
+    let mut kinds: HashMap<&str, usize> = HashMap::new();
+    for (name, lengths) in CODEC_TABLES {
+        let table = CodeTable::from_lengths(&lengths).expect("Kraft-valid");
+        for k in CODEC_KS {
+            let mut mix = Mix(fnv1a64(&format!("{name}/{k}")));
+            for seed in 0..80 {
+                let (stream, source_len) = codec_stream(&mut mix, &table, k, seed % 8);
+                let got = DecodeSession::new()
+                    .k(k)
+                    .table(table.clone())
+                    .source_len(source_len)
+                    .decode_trits(&stream);
+                let kind = match &got {
+                    Ok(_) => "Ok",
+                    Err(DecodeError::XInCodeword { .. }) => "XInCodeword",
+                    Err(DecodeError::BadCodeword { .. }) => "BadCodeword",
+                    Err(DecodeError::TruncatedPayload { .. }) => "TruncatedPayload",
+                    Err(DecodeError::TooShort { .. }) => "TooShort",
+                    Err(other) => panic!("{name}/k{k}/{seed}: unexpected {other:?}"),
+                };
+                *kinds.entry(kind).or_default() += 1;
+                outcomes.push((format!("trits/{name}/k{k}/{seed}"), format!("{got:?}")));
+            }
+            let eng = engine(1);
+            for seed in 0..8 {
+                let bytes = forged_frame(&mut mix, lengths, k);
+                outcomes.push((
+                    format!("frame/{name}/k{k}/{seed}"),
+                    render_outcome(&eng, &bytes),
+                ));
+            }
+        }
+    }
+    for kind in [
+        "Ok",
+        "XInCodeword",
+        "BadCodeword",
+        "TruncatedPayload",
+        "TooShort",
+    ] {
+        let n = kinds.get(kind).copied().unwrap_or(0);
+        assert!(n >= 100, "only {n} raw streams end in {kind}: {kinds:?}");
+    }
+    // The payload unpack: a reserved `11` code at every position, the
+    // bytes cut at every length, and both at once.
+    let mut mix = Mix(fnv1a64("unpack"));
+    for n in [1usize, 3, 4, 5, 31, 32, 33, 64, 67, 130] {
+        let trits: TritVec = (0..n).map(|_| mix.trit()).collect();
+        let packed = frame::pack_payload(&trits);
+        let unpack = |bytes: &[u8]| {
+            let seg = frame::ParsedSegment {
+                k: 8,
+                source_trits: n,
+                payload_trits: n,
+                payload: bytes,
+            };
+            format!("{:?}", frame::unpack_payload(&seg, 7))
+        };
+        outcomes.push((format!("unpack/n{n}/clean"), unpack(&packed)));
+        for at in 0..n {
+            let mut bad = packed.clone();
+            bad[at / 4] |= 0b11 << (at % 4 * 2);
+            outcomes.push((format!("unpack/n{n}/11@{at}"), unpack(&bad)));
+            let cut = mix.below(packed.len() + 1);
+            outcomes.push((format!("unpack/n{n}/11@{at}/cut{cut}"), unpack(&bad[..cut])));
+        }
+        for cut in 0..packed.len() {
+            outcomes.push((format!("unpack/n{n}/cut{cut}"), unpack(&packed[..cut])));
+        }
+        if n % 4 != 0 {
+            // Pad bits past the last trit are outside the data.
+            let mut padded = packed.clone();
+            *padded.last_mut().expect("non-empty") |= 0b11 << 6;
+            outcomes.push((format!("unpack/n{n}/pad11"), unpack(&padded)));
+        }
+    }
+    assert!(outcomes.len() >= 2000, "{} inputs", outcomes.len());
+    check_outcomes("outcomes_codec.txt", &outcomes);
 }
