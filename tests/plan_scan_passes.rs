@@ -3,8 +3,10 @@
 //! driving the *entire* strict → repair → salvage ladder against it
 //! costs exactly one header/CRC scan of the frame. The same runs pin the
 //! recovery counters: CRC failures, salvaged segments, repair failures
-//! and limit rejections each tick by exactly what their input earns, and
-//! `ninec.engine.segments` by the jobs the executor ran.
+//! and limit rejections each tick by exactly what their input earns,
+//! `ninec.engine.segments` by the jobs the executor ran, and the
+//! `ninec.decode.*` counters by the segments, blocks and trits a clean
+//! decode moved.
 //!
 //! The [`ninec_obs`] registry is process global, so this file is its own
 //! integration-test binary and its tests take [`REGISTRY`] in turn: no
@@ -205,5 +207,54 @@ fn engine_segments_count_every_decoded_segment() {
         let before = segments();
         engine.decode_frame(&frame).expect("clean frame decodes");
         assert_eq!(segments() - before, data, "threads={threads}");
+    }
+}
+
+/// A clean strict decode publishes one `ninec.decode.*` run per data
+/// segment, one block per `K` source trits (the encoder's pad rounds
+/// the last block up), every payload trit read and every source trit
+/// written — at any thread count.
+#[test]
+fn decode_counters_count_runs_blocks_bits_and_symbols() {
+    let _registry = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
+    // 1,525 trits: the last segment ends in a padded block.
+    let set = SyntheticProfile::new("decode", 25, 61, 0.72).generate(9);
+    let counts = || {
+        [
+            metrics::DECODE_RUNS,
+            metrics::DECODE_BLOCKS,
+            metrics::DECODE_BITS_IN,
+            metrics::DECODE_SYMBOLS_OUT,
+        ]
+        .map(|name| ninec_obs::counter(name).get())
+    };
+    for threads in [1usize, 2] {
+        let engine = Engine::builder()
+            .threads(threads)
+            .segment_bits(256)
+            .parity(2, 1)
+            .build();
+        let frame = engine
+            .encode_frame(6, set.as_stream())
+            .expect("frame encodes");
+        let plan = engine.build_plan(&frame).expect("clean frame plans");
+        let mut expected = [0u64, 0, 0, plan.source_len() as u64];
+        for entry in plan.entries() {
+            if let PlanEntry::Data { seg, .. } = entry {
+                expected[0] += 1;
+                expected[1] += seg.source_trits.div_ceil(seg.k) as u64;
+                expected[2] += seg.payload_trits as u64;
+            }
+        }
+        assert!(expected[0] > 2, "the frame must span several segments");
+        let before = counts();
+        let trits = engine.decode_frame(&frame).expect("clean frame decodes");
+        assert_eq!(trits.len(), plan.source_len());
+        let after = counts();
+        let delta: [u64; 4] = std::array::from_fn(|i| after[i] - before[i]);
+        assert_eq!(
+            delta, expected,
+            "threads={threads}: [runs, blocks, bits_in, symbols_out]"
+        );
     }
 }
