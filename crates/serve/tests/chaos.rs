@@ -5,6 +5,10 @@
 //! chaos is that a request ends in bit-exact success, a typed refusal
 //! or a typed timeout — **never** a hang. A test that would hang
 //! panics at the watchdog instead of stalling the suite.
+//!
+//! The client-deadline test needs the `failpoints` feature: it arms a
+//! per-segment delay so its decode overruns the budget by construction
+//! rather than by racing the clock.
 
 use ninec_serve::{
     ChaosConfig, ChaosProxy, Client, ClientError, ClientOptions, RetryPolicy, RetryingClient,
@@ -12,13 +16,26 @@ use ninec_serve::{
 };
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 mod common;
 use common::{start, watchdog, STREAM};
 
+/// Serialises this file's tests: `NINEC_FAILPOINT` is process global and
+/// read at every engine build, so a fault armed for one test's request
+/// must not reach another's decodes (or the process-wide job gauge).
+static ENV_LOCK: Mutex<()> = Mutex::new(());
+
+fn env_lock() -> MutexGuard<'static, ()> {
+    ENV_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[test]
 fn torn_responses_retry_to_bit_exact_success() {
+    let _env = env_lock();
     watchdog(Duration::from_secs(60), "torn-retry", || {
         let mut server = start(ServeConfig::default());
         // Seed 5 at 40% torn: connection 0 tears, connection 1 is clean
@@ -74,6 +91,7 @@ fn torn_responses_retry_to_bit_exact_success() {
 
 #[test]
 fn a_blackholed_connection_times_out_typed() {
+    let _env = env_lock();
     watchdog(Duration::from_secs(30), "blackhole", || {
         let mut server = start(ServeConfig::default());
         let mut proxy = ChaosProxy::start(
@@ -119,6 +137,7 @@ fn a_blackholed_connection_times_out_typed() {
 
 #[test]
 fn delay_and_throttle_still_roundtrip_bit_exact() {
+    let _env = env_lock();
     watchdog(Duration::from_secs(60), "delay-throttle", || {
         let mut server = start(ServeConfig::default());
         let mut proxy = ChaosProxy::start(
@@ -148,6 +167,7 @@ fn delay_and_throttle_still_roundtrip_bit_exact() {
 
 #[test]
 fn the_server_ceiling_answers_status_8_and_reclaims_workers() {
+    let _env = env_lock();
     watchdog(Duration::from_secs(60), "server-ceiling", || {
         // A zero ceiling: every decode's deadline has already passed by
         // the first segment-boundary check, deterministically.
@@ -193,11 +213,16 @@ fn the_server_ceiling_answers_status_8_and_reclaims_workers() {
     });
 }
 
+/// A 1 ms client deadline answers status 8. A `seg:*:delay` fail point
+/// holds the tight request's segments past that budget, so the overrun
+/// is forced, whatever the build's decode speed.
+#[cfg(feature = "failpoints")]
 #[test]
 fn a_client_deadline_answers_status_8_and_old_clients_are_unaffected() {
+    let _env = env_lock();
     watchdog(Duration::from_secs(60), "client-deadline", || {
         let mut server = start(ServeConfig::default());
-        let text = STREAM.repeat(2000); // big enough to out-run 1ms in a debug build
+        let text = STREAM.repeat(2000); // 40 k trits: many segments to abandon
 
         // Old-style client: no deadline, no capability in the HELLO —
         // greeting and behavior identical to the pre-deadline protocol.
@@ -227,9 +252,20 @@ fn a_client_deadline_answers_status_8_and_old_clients_are_unaffected() {
             greeting.contains("caps deadline"),
             "server must echo the negotiated capability: {greeting}"
         );
-        let err = tight
-            .decode(&frame, ninec::Policy::Strict)
-            .expect_err("1ms cannot decode this frame");
+        let err = {
+            // Armed only for this request: every engine build reads it.
+            struct Disarm;
+            impl Drop for Disarm {
+                fn drop(&mut self) {
+                    std::env::remove_var(ninec::engine::faultpoint::ENV);
+                }
+            }
+            std::env::set_var(ninec::engine::faultpoint::ENV, "seg:*:delay:20");
+            let _disarm = Disarm;
+            tight
+                .decode(&frame, ninec::Policy::Strict)
+                .expect_err("1ms cannot decode this frame")
+        };
         assert!(
             matches!(
                 err,
@@ -253,6 +289,7 @@ fn a_client_deadline_answers_status_8_and_old_clients_are_unaffected() {
 
 #[test]
 fn a_slow_loris_is_reaped_and_clean_tenants_are_served() {
+    let _env = env_lock();
     watchdog(Duration::from_secs(30), "slow-loris", || {
         // One handler thread: if the loris held it, the clean client
         // below could never be served.
