@@ -297,6 +297,13 @@ impl CodeTable {
     /// returning the case and consumed length.
     ///
     /// Returns `None` if no codeword matches (truncated or corrupt stream).
+    ///
+    /// This is the bit-serial reading of the paper's decoder FSM, one
+    /// code bit per step; the cycle-counting decompressor model
+    /// (`ninec-decompressor`) is its only caller. The software decoder
+    /// ([`crate::decode::StreamDecoder`]) resolves a codeword in one
+    /// table lookup instead, with the same result and the same typed
+    /// errors.
     pub fn match_at<F>(&self, mut bit_at: F) -> Option<(Case, usize)>
     where
         F: FnMut(usize) -> Option<bool>,

@@ -86,10 +86,11 @@ pub use scrub::{ScrubFinding, ScrubMode, ScrubReport, ScrubVerdict};
 pub type SharedEngine = std::sync::Arc<Engine>;
 
 use crate::code::CodeTable;
-use crate::decode::{DecodeError, StreamDecoder};
+use crate::decode::{DecodeError, DecodeTable, StreamDecoder};
 use crate::encode::{EncodeStats, EncodeTotals, Encoded, Encoder, InvalidBlockSize};
 use crate::stream::BitCounter;
 use ninec_testdata::trit::{Trit, TritVec};
+use std::borrow::Cow;
 use std::fmt;
 
 /// Default segment size in source trits (1 Mbit), before block alignment.
@@ -572,7 +573,7 @@ impl Engine {
         &self,
         seg: &frame::ParsedSegment<'_>,
         i: usize,
-        table: &CodeTable,
+        table: &DecodeTable,
     ) -> Result<TritVec, DecodeError> {
         let fault = faultpoint::fire(&self.failpoints, faultpoint::SITE_SEG, i);
         match fault {
@@ -584,21 +585,14 @@ impl Engine {
         }
         let t0 = ninec_obs::runtime_enabled().then(std::time::Instant::now);
         let payload = frame::unpack_payload(seg, i)?;
-        if payload.len() != seg.payload_trits {
-            return Err(DecodeError::Frame(frame::FrameError::Malformed {
-                segment: i,
-                what: "payload length disagrees with the segment header",
-            }));
-        }
-        let dec = StreamDecoder::new(
-            payload.as_slice().iter(),
-            seg.k,
-            table.clone(),
-            seg.source_trits,
-        )
-        .map_err(|e| DecodeError::InvalidBlockSize { k: e.k })?;
         let mut out = TritVec::with_capacity(seg.source_trits);
-        dec.run_into(&mut out)?;
+        StreamDecoder::with_table(
+            payload.as_slice(),
+            seg.k,
+            Cow::Borrowed(table),
+            seg.source_trits,
+        )?
+        .run_into(&mut out)?;
         if matches!(fault, Some(faultpoint::Action::Corrupt)) {
             // Torn write: flip the first decoded trit after the CRC and
             // the 9C decode both passed.

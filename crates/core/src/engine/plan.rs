@@ -35,8 +35,7 @@
 //! the reference it is diffed against, and the outcome goldens pin the
 //! errors against history.
 
-use crate::code::CodeTable;
-use crate::decode::DecodeError;
+use crate::decode::{DecodeError, DecodeTable};
 use crate::engine::crc::PrefixCrc;
 use crate::engine::exec::{self, JobOutcome, Priority};
 use crate::engine::frame::{
@@ -878,7 +877,7 @@ pub(crate) fn build<'a>(
 pub(crate) fn decode_segments(
     engine: &Engine,
     segs: &[(usize, ParsedSegment<'_>)],
-    table: &CodeTable,
+    table: &DecodeTable,
     cancel: Option<&cancel::CancelToken>,
 ) -> Vec<JobOutcome<Result<TritVec, DecodeError>>> {
     exec::run_cancellable(
@@ -904,7 +903,7 @@ pub(crate) fn decode_segments(
 pub(crate) fn decode_strict(
     engine: &Engine,
     segs: &[(usize, ParsedSegment<'_>)],
-    table: &CodeTable,
+    table: &DecodeTable,
     cancel: Option<&cancel::CancelToken>,
     out: &mut TritVec,
 ) -> Result<(), DecodeError> {
@@ -956,7 +955,7 @@ pub(crate) fn execute_strict(
     if let Some(e) = &plan.strict_error {
         return Err(e.clone().into());
     }
-    let table = CodeTable::from_lengths(&plan.table_lengths).map_err(|_| FrameError::BadTable)?;
+    let table = DecodeTable::for_lengths(&plan.table_lengths).ok_or(FrameError::BadTable)?;
     // A strictly valid plan is exactly `n` data entries followed by the
     // parity segments, so the data ordinal equals the segment index.
     let segs: Vec<(usize, ParsedSegment<'_>)> = plan

@@ -43,8 +43,7 @@
 //! and salvage rungs, buffer the frame and run [`Engine::build_plan`] +
 //! [`Engine::execute_plan`].
 
-use crate::code::CodeTable;
-use crate::decode::DecodeError;
+use crate::decode::{DecodeError, DecodeTable};
 use crate::engine::crc::PrefixCrc;
 pub use crate::engine::frame::StreamHeader;
 use crate::engine::frame::{
@@ -511,7 +510,7 @@ impl Engine {
         })?;
         // A bad table is reported only after the strict verdict, as in
         // the in-memory decode; until then there is nothing to decode.
-        let table = CodeTable::from_lengths(&head.table_lengths).ok();
+        let table = DecodeTable::for_lengths(&head.table_lengths);
         let mut out = TritVec::with_capacity(head.source_len.min(1 << 24));
         let mut batch: Vec<OwnedSegment> = Vec::new();
         let mut failed: Option<DecodeError> = None;
@@ -545,7 +544,7 @@ impl Engine {
     fn drain_batch(
         &self,
         batch: &mut Vec<OwnedSegment>,
-        table: Option<&CodeTable>,
+        table: Option<&DecodeTable>,
         out: &mut TritVec,
         failed: &mut Option<DecodeError>,
     ) {

@@ -39,8 +39,7 @@
 //! reconstruction of damaged groups backfills at [`Priority::Low`], and
 //! rebuilt segments decode in a short follow-up batch.
 
-use crate::code::CodeTable;
-use crate::decode::DecodeError;
+use crate::decode::{DecodeError, DecodeTable};
 use crate::engine::ecc::ParityCoder;
 use crate::engine::exec::{self, JobOutcome, Priority};
 use crate::engine::frame::{self, DamageReason, ParsedParity};
@@ -359,8 +358,7 @@ pub(crate) fn execute(
     repair: bool,
 ) -> Result<SalvageReport, DecodeError> {
     let bytes = plan.bytes();
-    let table =
-        CodeTable::from_lengths(&plan.table_lengths).map_err(|_| frame::FrameError::BadTable)?;
+    let table = DecodeTable::for_lengths(&plan.table_lengths).ok_or(frame::FrameError::BadTable)?;
     let source_len = plan.source_len;
     let limits = engine.limits();
 

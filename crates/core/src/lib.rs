@@ -17,9 +17,10 @@
 //! - [`mod@encode`] / [`mod@decode`] — the codec, word-parallel on the
 //!   packed care/value planes, with streaming entry points
 //!   ([`encode::StreamEncoder`], [`decode::StreamDecoder`]) that hold only
-//!   `O(K)` state between chunks;
-//! - [`stream`] — the [`stream::BitSink`] / [`stream::BitSource`]
-//!   abstractions the streaming codec reads and writes;
+//!   `O(K)` state between chunks; the decoder resolves each codeword with
+//!   one table lookup and moves halves as words;
+//! - [`stream`] — the [`stream::BitSink`] abstraction the streaming codec
+//!   writes through;
 //! - [`session`] — the unified [`session::DecodeSession`] builder entry
 //!   point for everything decode (the deprecated `decode*` free
 //!   functions it replaced were removed in 0.4.0 — see the README's
@@ -80,4 +81,4 @@ pub use engine::{
     SegmentRung, SharedEngine, Trip,
 };
 pub use session::{DecodeOutcome, DecodeSession, RungKind};
-pub use stream::{BitCounter, BitSink, BitSource};
+pub use stream::{BitCounter, BitSink};

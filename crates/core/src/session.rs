@@ -372,8 +372,7 @@ fn decode_trits_with(
 ) -> Result<TritVec, DecodeError> {
     let _span = ninec_obs::span("decode_session");
     let mut out = TritVec::with_capacity(source_len);
-    let dec = StreamDecoder::new(stream.as_slice().iter(), k, table.clone(), source_len)?;
-    dec.run_into(&mut out)?;
+    StreamDecoder::new(stream.as_slice(), k, table.clone(), source_len)?.run_into(&mut out)?;
     Ok(out)
 }
 

@@ -1,11 +1,11 @@
-//! Sink/source abstractions for the streaming 9C codec.
+//! The sink abstraction of the streaming 9C codec.
 //!
-//! The streaming encoder ([`crate::encode::StreamEncoder`]) writes its
-//! output through a [`BitSink`] and the streaming decoder
-//! ([`crate::decode::StreamDecoder`]) pulls its input from a [`BitSource`],
-//! so neither endpoint forces the whole stream into memory: an encoder
-//! holds at most one partial block (`< K` symbols) and a decoder holds at
-//! most one codeword-plus-payload.
+//! The streaming encoder ([`crate::encode::StreamEncoder`]) and the
+//! streaming decoder ([`crate::decode::StreamDecoder`]) both write their
+//! output through a [`BitSink`], so neither forces its output into
+//! memory: an encoder holds at most one partial block (`< K` symbols)
+//! and a decoder at most one word of decoded trits. The decoder reads
+//! its input from a packed [`TritSlice`], a word at a time.
 //!
 //! Both alphabets are three-valued: 9C codewords are fully specified bits,
 //! but verbatim payload keeps its don't-cares (the paper's "leftover X"),
@@ -117,34 +117,6 @@ impl BitSink for BitCounter {
     }
 }
 
-/// A producer of a three-valued symbol stream, pulled one symbol at a time.
-///
-/// Every `Iterator<Item = Trit>` is a source, so a packed stream streams
-/// via [`TritSlice::iter`] and ad-hoc tests can pull from plain vectors.
-///
-/// # Examples
-///
-/// ```
-/// use ninec::stream::BitSource;
-/// use ninec_testdata::trit::Trit;
-///
-/// let mut src = vec![Trit::One, Trit::X].into_iter();
-/// assert_eq!(src.next_trit(), Some(Trit::One));
-/// assert_eq!(src.next_trit(), Some(Trit::X));
-/// assert_eq!(src.next_trit(), None);
-/// ```
-pub trait BitSource {
-    /// Pulls the next symbol; `None` once the stream is exhausted.
-    fn next_trit(&mut self) -> Option<Trit>;
-}
-
-impl<I: Iterator<Item = Trit>> BitSource for I {
-    #[inline]
-    fn next_trit(&mut self) -> Option<Trit> {
-        self.next()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,15 +148,5 @@ mod tests {
         n.push_run(Trit::X, 5);
         n.push_slice(payload.as_slice());
         assert_eq!(n.bits(), 1 + 5 + 3);
-    }
-
-    #[test]
-    fn iterator_is_a_source() {
-        let v: TritVec = "0X1".parse().unwrap();
-        let mut src = v.iter();
-        assert_eq!(src.next_trit(), Some(Trit::Zero));
-        assert_eq!(src.next_trit(), Some(Trit::X));
-        assert_eq!(src.next_trit(), Some(Trit::One));
-        assert_eq!(src.next_trit(), None);
     }
 }

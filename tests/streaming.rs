@@ -95,7 +95,7 @@ proptest! {
             let encoded = encoder.encode_chunked(stream.chunks(chunk));
             let mut out = TritVec::with_capacity(stream.len());
             let mut dec = StreamDecoder::new(
-                encoded.stream().as_slice().iter(),
+                encoded.stream().as_slice(),
                 encoded.k(),
                 encoded.table().clone(),
                 encoded.source_len(),
@@ -144,7 +144,7 @@ fn large_stream_roundtrips_through_small_chunks() {
 
     let mut out = TritVec::with_capacity(stream.len());
     let mut dec = StreamDecoder::new(
-        encoded.stream().as_slice().iter(),
+        encoded.stream().as_slice(),
         encoded.k(),
         encoded.table().clone(),
         encoded.source_len(),
