@@ -2,7 +2,7 @@
 //! *every* input — same decoded trits, same typed errors (hence the same
 //! CLI exit codes), same damage maps.
 //!
-//! Four layers:
+//! Five layers:
 //!
 //! 1. replay of every committed corpus frame (`tests/corpus/*.9cf`);
 //! 2. an exhaustive single-byte mutation sweep over a golden v2 and a
@@ -13,15 +13,20 @@
 //! 4. the 9C codec's own outcomes: seeded raw streams over four code
 //!    tables and seven block sizes, CRC-valid forged frames whose
 //!    payloads fail 9C decoding, and the payload unpack with a reserved
-//!    `11` code or a cut at every position.
+//!    `11` code or a cut at every position;
+//! 5. the 9C encoder's outcomes: the encoded stream and tallies of
+//!    seeded sources over the same tables and block sizes under every
+//!    case policy, chunked feeds split at every offset of a word, and
+//!    engine frames at one and two threads.
 //!
-//! Layers 1, 2 and 4 are pinned by *outcome goldens* under
+//! Layers 1, 2, 4 and 5 are pinned by *outcome goldens* under
 //! `tests/golden/outcomes_*.txt`: one line per input holding a 64-bit
 //! digest of the `Debug` text of its results. A frame has five —
 //! [`Engine::decode_frame`], [`Engine::build_plan`] and
 //! [`Engine::execute_plan`] at every [`Policy`] on that plan; a raw
 //! stream or a payload has the one `decode_trits` or `unpack_payload`
-//! result. They record the typed errors and damage maps
+//! result; an encode has its stream's digest and its `EncodeStats`, and
+//! an encoded frame its bytes. They record the typed errors and damage maps
 //! against history rather than against a second implementation.
 //! Regenerate them only after an intended behaviour change, with
 //! `OUTCOME_BLESS=1 cargo test --test ladder_equivalence`.
@@ -751,4 +756,131 @@ fn codec_outcomes_match_their_golden() {
     }
     assert!(outcomes.len() >= 2000, "{} inputs", outcomes.len());
     check_outcomes("outcomes_codec.txt", &outcomes);
+}
+
+// ---------------------------------------------------------------------------
+// 5. Encode outcomes: the 9C encoder's streams and tallies.
+// ---------------------------------------------------------------------------
+//
+// Every layer above starts from an encoded stream, so they pin the
+// encoder only through the inputs they happen to build. This golden pins
+// it directly: the encoded stream and the `EncodeStats` of seeded
+// sources over the codec tables and block sizes, under each case policy,
+// and whole engine frames cut into segments that are not multiples of 64.
+
+/// The case-selection policies the encode golden sweeps.
+const ENCODE_SELECTS: [(&str, ninec::CaseSelect); 3] = [
+    ("min", ninec::CaseSelect::MinSize),
+    ("pa1", ninec::CaseSelect::PowerAware { max_extra_bits: 1 }),
+    ("pa4", ninec::CaseSelect::PowerAware { max_extra_bits: 4 }),
+];
+
+/// A source of at least three words built from pieces of 1 to 200
+/// trits: all-`X` stretches, long zero or one runs with scattered `X`,
+/// sparse care bits, or random trits. Whole words of `X`, blocks that
+/// straddle a word and long uniform runs all occur.
+fn long_source(mix: &mut Mix, k: usize) -> TritVec {
+    let target = 192 + mix.below(4 * k + 64);
+    let mut src = TritVec::new();
+    while src.len() < target {
+        let style = mix.below(6);
+        for _ in 0..1 + mix.below(200) {
+            src.push(match style {
+                1 if mix.below(8) != 0 => Trit::Zero,
+                2 if mix.below(8) != 0 => Trit::One,
+                3 if mix.below(32) == 0 => mix.bit(),
+                4 => mix.trit(),
+                _ => Trit::X,
+            });
+        }
+    }
+    src
+}
+
+/// The encoded stream's digest and the run's tallies, as one line.
+fn render_encoded(encoded: &ninec::Encoded) -> String {
+    format!(
+        "{:016x} {:?}",
+        fnv1a64(&encoded.stream().to_string()),
+        encoded.stats()
+    )
+}
+
+#[test]
+fn encode_outcomes_match_their_golden() {
+    let mut outcomes = Vec::new();
+    let mut case_counts = [0u64; 9];
+    let mut power_aware_differs = 0usize;
+    for (name, lengths) in CODEC_TABLES {
+        let table = CodeTable::from_lengths(&lengths).expect("Kraft-valid");
+        for k in CODEC_KS {
+            let mut mix = Mix(fnv1a64(&format!("encode/{name}/{k}")));
+            for seed in 0..30 {
+                let src = if seed % 2 == 0 {
+                    codec_source(&mut mix, k)
+                } else {
+                    long_source(&mut mix, k)
+                };
+                let mut min_stream = None;
+                for (select_name, select) in ENCODE_SELECTS {
+                    let encoder = Encoder::with_table(k, table.clone())
+                        .expect("valid K")
+                        .with_case_select(select);
+                    let encoded = encoder.encode_stream(&src);
+                    for (count, n) in case_counts.iter_mut().zip(encoded.stats().case_counts) {
+                        *count += n;
+                    }
+                    match &min_stream {
+                        None => min_stream = Some(encoded.stream().clone()),
+                        Some(min) => power_aware_differs += usize::from(min != encoded.stream()),
+                    }
+                    // Chunk boundaries are invisible wherever they fall in
+                    // a word: the first split at every offset, then 64-trit
+                    // chunks.
+                    for first in 0..64 {
+                        let first = first.min(src.len());
+                        let rest = ninec_testdata::slice::Chunks::new(
+                            src.slice_view(first, src.len()),
+                            64,
+                        );
+                        let chunked = encoder
+                            .encode_chunked(std::iter::once(src.slice_view(0, first)).chain(rest));
+                        assert_eq!(
+                            chunked, encoded,
+                            "{name}/k{k}/{select_name}/{seed}: first split at {first}"
+                        );
+                    }
+                    outcomes.push((
+                        format!("encode/{name}/k{k}/{select_name}/{seed}"),
+                        render_encoded(&encoded),
+                    ));
+                }
+            }
+            for seed in 0..4 {
+                let src = long_source(&mut mix, k);
+                for threads in [1, 2] {
+                    let bytes = Engine::builder()
+                        .threads(threads)
+                        .segment_bits(5 * k + k / 2)
+                        .table(table.clone())
+                        .build()
+                        .encode_frame(k, &src)
+                        .expect("frame encodes");
+                    outcomes.push((
+                        format!("frame/{name}/k{k}/t{threads}/{seed}"),
+                        format!("{bytes:?}"),
+                    ));
+                }
+            }
+        }
+    }
+    for (i, n) in case_counts.into_iter().enumerate() {
+        assert!(n >= 100, "case C{} chosen only {n} times", i + 1);
+    }
+    assert!(
+        power_aware_differs >= 100,
+        "PowerAware differs from MinSize on only {power_aware_differs} inputs"
+    );
+    assert!(outcomes.len() >= 2000, "{} inputs", outcomes.len());
+    check_outcomes("outcomes_encode.txt", &outcomes);
 }
