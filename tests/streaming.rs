@@ -7,14 +7,23 @@
 
 use ninec::block::HalfClass;
 use ninec::decode::StreamDecoder;
-use ninec::encode::Encoder;
+use ninec::encode::{CaseSelect, Encoder};
 use ninec::session::DecodeSession;
 use ninec::stream::BitCounter;
 use ninec_testdata::trit::{Trit, TritVec};
 use proptest::prelude::*;
 
-/// The K values the differential suite sweeps, 4 through 64.
-const K_DIFF: [usize; 5] = [4, 8, 16, 32, 64];
+/// The K values the differential suite sweeps, 4 through 130. At K = 6
+/// blocks straddle a 64-trit word; K = 66 and K = 130 take the K > 64
+/// path, where a 65-trit half spans words.
+const K_DIFF: [usize; 8] = [4, 6, 8, 16, 32, 64, 66, 130];
+
+/// The case policies the encoder differential sweeps.
+const SELECTS: [CaseSelect; 3] = [
+    CaseSelect::MinSize,
+    CaseSelect::PowerAware { max_extra_bits: 1 },
+    CaseSelect::PowerAware { max_extra_bits: 4 },
+];
 
 /// The chunk sizes the streaming suite sweeps (issue spec).
 const CHUNKS: [usize; 4] = [1, 7, 64, 4096];
@@ -57,16 +66,18 @@ proptest! {
     }
 
     /// The word-parallel encoder is bit-identical to the scalar reference
-    /// for every K in the differential sweep.
+    /// for every K in the differential sweep, under every case policy.
     #[test]
     fn word_encoder_matches_scalar_reference(stream in arb_stream(600)) {
         for k in K_DIFF {
-            let encoder = Encoder::new(k).unwrap();
-            prop_assert_eq!(
-                encoder.encode_stream(&stream),
-                encoder.encode_stream_scalar(&stream),
-                "word and scalar encoders diverged at K={}", k
-            );
+            for select in SELECTS {
+                let encoder = Encoder::new(k).unwrap().with_case_select(select);
+                prop_assert_eq!(
+                    encoder.encode_stream(&stream),
+                    encoder.encode_stream_scalar(&stream),
+                    "word and scalar encoders diverged at K={} under {:?}", k, select
+                );
+            }
         }
     }
 
