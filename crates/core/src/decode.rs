@@ -14,7 +14,7 @@
 use crate::code::{CodeTable, HalfSpec, ALL_CASES};
 use crate::encode::InvalidBlockSize;
 use crate::engine::frame::FrameError;
-use crate::stream::BitSink;
+use crate::stream::{low_bits, BitSink, WordIn, WordOut};
 use ninec_testdata::slice::TritSlice;
 use std::borrow::Cow;
 use std::fmt;
@@ -226,109 +226,6 @@ impl DecodeTable {
     }
 }
 
-/// The next (up to 64) trits of the input as one care/value word pair:
-/// codeword lookups and payload halves read it a word at a time.
-struct WordIn<'a> {
-    src: TritSlice<'a>,
-    /// Stream position of the window's first trit.
-    pos: usize,
-    care: u64,
-    value: u64,
-    /// Trits held; the bits past them are zero.
-    len: usize,
-}
-
-impl WordIn<'_> {
-    /// Trits of the stream from the window's start on.
-    #[inline]
-    fn left(&self) -> usize {
-        self.src.len() - self.pos
-    }
-
-    /// Reloads the window unless it holds at least `n <= 64` trits; it
-    /// then holds `min(64, left)`.
-    #[inline]
-    fn want(&mut self, n: usize) {
-        if self.len < n {
-            let len = self.left().min(64);
-            self.care = self.src.care_word(self.pos, len);
-            self.value = self.src.value_word(self.pos, len);
-            self.len = len;
-        }
-    }
-
-    /// Drops the first `n <= len` trits the window holds.
-    #[inline]
-    fn consume(&mut self, n: usize) {
-        self.care = self.care.checked_shr(n as u32).unwrap_or(0);
-        self.value = self.value.checked_shr(n as u32).unwrap_or(0);
-        self.len -= n;
-        self.pos += n;
-    }
-}
-
-/// Decoded trits gathered into one care/value word pair, so the sink
-/// takes them 64 at a time.
-#[derive(Default)]
-struct WordOut {
-    care: u64,
-    value: u64,
-    /// Trits held, always below 64 between calls.
-    len: usize,
-}
-
-impl WordOut {
-    /// Appends the `n <= 64` low trits of `care`/`value`; their higher
-    /// bits must be zero.
-    #[inline]
-    fn push<O: BitSink>(&mut self, out: &mut O, care: u64, value: u64, n: usize) {
-        self.care |= care << self.len;
-        self.value |= value << self.len;
-        let total = self.len + n;
-        if total < 64 {
-            self.len = total;
-            return;
-        }
-        out.push_slice(TritSlice::from_raw(&[self.care], &[self.value], 0, 64));
-        // The new trits the full word took: shifting them out leaves the rest.
-        let taken = (64 - self.len) as u32;
-        self.care = care.checked_shr(taken).unwrap_or(0);
-        self.value = value.checked_shr(taken).unwrap_or(0);
-        self.len = total - 64;
-    }
-
-    /// Appends `n` copies of a care trit, `1` when `one`.
-    #[inline]
-    fn run<O: BitSink>(&mut self, out: &mut O, one: bool, n: usize) {
-        let mut left = n;
-        while left > 0 {
-            let take = left.min(64);
-            let care = low_bits(take);
-            self.push(out, care, if one { care } else { 0 }, take);
-            left -= take;
-        }
-    }
-
-    /// Hands every held trit to the sink.
-    fn flush<O: BitSink>(&mut self, out: &mut O) {
-        if self.len > 0 {
-            out.push_slice(TritSlice::from_raw(
-                &[self.care],
-                &[self.value],
-                0,
-                self.len,
-            ));
-        }
-        *self = Self::default();
-    }
-}
-
-/// A mask of the `n <= 64` low bits.
-#[inline]
-fn low_bits(n: usize) -> u64 {
-    u64::MAX.checked_shr((64 - n) as u32).unwrap_or(0)
-}
-
 /// Why no codeword starts at trit `pos` of `src`, exactly as the
 /// bit-serial [`CodeTable::match_at`] reads the stream: no trit left is
 /// [`DecodeError::TooShort`]; otherwise the first `X` within the next
@@ -475,13 +372,7 @@ impl<'a> StreamDecoder<'a> {
     fn decode_blocks<O: BitSink>(&mut self, out: &mut O, limit: u64) -> Result<usize, DecodeError> {
         let table: &DecodeTable = &self.table;
         let (half, source_len) = (self.half, self.source_len);
-        let mut input = WordIn {
-            src: self.src,
-            pos: self.pos,
-            care: 0,
-            value: 0,
-            len: 0,
-        };
+        let mut input = WordIn::new(self.src, self.pos);
         let mut produced = self.produced;
         let first = produced.min(source_len);
         let mut acc = WordOut::default();

@@ -1,11 +1,16 @@
-//! The sink abstraction of the streaming 9C codec.
+//! The sink abstraction of the streaming 9C codec, and the word window
+//! and accumulator both of its directions run through.
 //!
 //! The streaming encoder ([`crate::encode::StreamEncoder`]) and the
 //! streaming decoder ([`crate::decode::StreamDecoder`]) both write their
 //! output through a [`BitSink`], so neither forces its output into
 //! memory: an encoder holds at most one partial block (`< K` symbols)
-//! and a decoder at most one word of decoded trits. The decoder reads
-//! its input from a packed [`TritSlice`], a word at a time.
+//! between feeds and a decoder at most one word of decoded trits. Both
+//! read their input from a packed [`TritSlice`] through one 64-trit
+//! window (`WordIn`): the encoder takes whole blocks from it, the
+//! decoder codewords and payload halves. Both gather their output in one
+//! 64-trit accumulator (`WordOut`), so the sink takes it a word at a
+//! time. Every encode and every decode runs through these two.
 //!
 //! Both alphabets are three-valued: 9C codewords are fully specified bits,
 //! but verbatim payload keeps its don't-cares (the paper's "leftover X"),
@@ -115,6 +120,123 @@ impl BitSink for BitCounter {
     fn push_slice(&mut self, slice: TritSlice<'_>) {
         self.bits += slice.len() as u64;
     }
+}
+
+/// The next (up to 64) trits of a packed input as one care/value word
+/// pair: the encoder reads whole blocks from it, the decoder codewords
+/// and payload halves, a word at a time.
+pub(crate) struct WordIn<'a> {
+    pub(crate) src: TritSlice<'a>,
+    /// Stream position of the window's first trit.
+    pub(crate) pos: usize,
+    pub(crate) care: u64,
+    pub(crate) value: u64,
+    /// Trits held; the bits past them are zero.
+    pub(crate) len: usize,
+}
+
+impl<'a> WordIn<'a> {
+    /// An empty window at trit `pos` of `src`; the first
+    /// [`want`](Self::want) fills it.
+    #[inline]
+    pub(crate) fn new(src: TritSlice<'a>, pos: usize) -> Self {
+        Self {
+            src,
+            pos,
+            care: 0,
+            value: 0,
+            len: 0,
+        }
+    }
+
+    /// Trits of the stream from the window's start on.
+    #[inline]
+    pub(crate) fn left(&self) -> usize {
+        self.src.len() - self.pos
+    }
+
+    /// Reloads the window unless it holds at least `n <= 64` trits; it
+    /// then holds `min(64, left)`.
+    #[inline]
+    pub(crate) fn want(&mut self, n: usize) {
+        if self.len < n {
+            let len = self.left().min(64);
+            self.care = self.src.care_word(self.pos, len);
+            self.value = self.src.value_word(self.pos, len);
+            self.len = len;
+        }
+    }
+
+    /// Drops the first `n <= len` trits the window holds.
+    #[inline]
+    pub(crate) fn consume(&mut self, n: usize) {
+        self.care = self.care.checked_shr(n as u32).unwrap_or(0);
+        self.value = self.value.checked_shr(n as u32).unwrap_or(0);
+        self.len -= n;
+        self.pos += n;
+    }
+}
+
+/// Output trits gathered into one care/value word pair, so the sink
+/// takes them 64 at a time.
+#[derive(Debug, Default)]
+pub(crate) struct WordOut {
+    care: u64,
+    value: u64,
+    /// Trits held, always below 64 between calls.
+    len: usize,
+}
+
+impl WordOut {
+    /// Appends the `n <= 64` low trits of `care`/`value`; their higher
+    /// bits must be zero.
+    #[inline]
+    pub(crate) fn push<O: BitSink>(&mut self, out: &mut O, care: u64, value: u64, n: usize) {
+        self.care |= care << self.len;
+        self.value |= value << self.len;
+        let total = self.len + n;
+        if total < 64 {
+            self.len = total;
+            return;
+        }
+        out.push_slice(TritSlice::from_raw(&[self.care], &[self.value], 0, 64));
+        // The new trits the full word took: shifting them out leaves the rest.
+        let taken = (64 - self.len) as u32;
+        self.care = care.checked_shr(taken).unwrap_or(0);
+        self.value = value.checked_shr(taken).unwrap_or(0);
+        self.len = total - 64;
+    }
+
+    /// Appends `n` copies of a care trit, `1` when `one`.
+    #[inline]
+    pub(crate) fn run<O: BitSink>(&mut self, out: &mut O, one: bool, n: usize) {
+        let mut left = n;
+        while left > 0 {
+            let take = left.min(64);
+            let care = low_bits(take);
+            self.push(out, care, if one { care } else { 0 }, take);
+            left -= take;
+        }
+    }
+
+    /// Hands every held trit to the sink.
+    pub(crate) fn flush<O: BitSink>(&mut self, out: &mut O) {
+        if self.len > 0 {
+            out.push_slice(TritSlice::from_raw(
+                &[self.care],
+                &[self.value],
+                0,
+                self.len,
+            ));
+        }
+        *self = Self::default();
+    }
+}
+
+/// A mask of the `n <= 64` low bits.
+#[inline]
+pub(crate) fn low_bits(n: usize) -> u64 {
+    u64::MAX.checked_shr((64 - n) as u32).unwrap_or(0)
 }
 
 #[cfg(test)]
