@@ -35,9 +35,9 @@ pub struct HalfClass {
 impl HalfClass {
     /// Classifies a half given its symbols.
     ///
-    /// This is the scalar (per-symbol) reference; hot paths use
-    /// [`HalfClass::classify_slice`], which does the same in `O(len / 64)`
-    /// word operations. The two are checked against each other by the
+    /// This is the scalar (per-symbol) reference;
+    /// [`HalfClass::classify_slice`] does the same in `O(len / 64)` word
+    /// operations. The two are checked against each other by the
     /// differential test-suite.
     pub fn classify<I: IntoIterator<Item = Trit>>(half: I) -> Self {
         Self::classify_scalar(half)
@@ -66,12 +66,16 @@ impl HalfClass {
 
     /// Word-parallel classification of `slice[from .. to]`.
     ///
-    /// Uses the packed care/value planes: the half is one-compatible iff no
-    /// specified zero exists (`care & !value == 0` over the range) and
+    /// Uses the packed care/value planes: the half is one-compatible iff
+    /// no specified zero exists (`care & !value == 0` over the range) and
     /// zero-compatible iff no specified one exists (`value == 0`), each a
     /// masked popcount-style scan costing `O((to - from) / 64)` word
     /// operations. An empty range is compatible with both, matching the
     /// `X`-padding semantics of partial final blocks.
+    ///
+    /// This is the encoder's hot path only for `K > 64`. For `K ≤ 64` the
+    /// encoder applies the same two masks to each half of a block held in
+    /// one word.
     ///
     /// # Examples
     ///
