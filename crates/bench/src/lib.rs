@@ -10,8 +10,7 @@
 //!
 //! Run `cargo run -p ninec-bench --release --bin tables -- all` to print
 //! everything (`results/README.md` has the commands that regenerate the
-//! committed snapshot); `cargo bench` runs the Criterion timing benches
-//! built on the same engines; `cargo run -p ninec-bench --release --bin
+//! committed snapshot); `cargo run -p ninec-bench --release --bin
 //! bench_core` checks the flight recorder's 5% decode budget. Speed is
 //! measured, with its spread, by the `benchmark/` package.
 
