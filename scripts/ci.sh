@@ -41,14 +41,17 @@ grep -q '^#!\[deny(clippy::unwrap_used)\]' crates/core/src/engine/mod.rs || {
 # surfacing a typed Degraded/Lost verdict. crc.rs checksums every one of
 # those byte streams, resync probes on hostile bytes included. decode.rs
 # parses the payload bits of every CRC-valid segment a word at a time,
-# and a hostile writer chooses those bits.
-echo "==> frame/crc/ecc/reader/plan/exec/cancel/archive/scrub/decode/serve no-unwrap/expect guard"
+# and a hostile writer chooses those bits. stream.rs holds the input
+# window and the output accumulator that every decode and every encode
+# runs through, serve's compress op on client-chosen trits included.
+echo "==> frame/crc/ecc/reader/plan/exec/cancel/archive/scrub/decode/stream/serve no-unwrap/expect guard"
 for f in crates/core/src/engine/frame.rs crates/core/src/engine/crc.rs \
          crates/core/src/engine/ecc.rs crates/core/src/engine/reader.rs \
          crates/core/src/engine/plan.rs crates/core/src/engine/exec.rs \
          crates/core/src/engine/cancel.rs \
          crates/core/src/engine/archive.rs crates/core/src/engine/scrub.rs \
-         crates/core/src/decode.rs crates/serve/src/*.rs; do
+         crates/core/src/decode.rs crates/core/src/stream.rs \
+         crates/serve/src/*.rs; do
     head=$(sed '/#\[cfg(test)\]/q' "$f")
     if echo "$head" | grep -nE '\.(unwrap|expect)\(' >&2; then
         echo "$f: unwrap()/expect() outside #[cfg(test)] is forbidden" >&2
@@ -98,6 +101,13 @@ NINEC_THREADS=1 cargo test -q
 
 echo "==> cargo test -q (NINEC_THREADS=8)"
 NINEC_THREADS=8 cargo test -q
+
+# The vendored proptest runs 64 cases per property by default. The
+# codec's differential suites (word encoder against the scalar
+# reference at every K and case policy, chunked against one-shot, and
+# the telemetry counters against the stats) get 1024.
+echo "==> codec differentials (PROPTEST_CASES=1024)"
+PROPTEST_CASES=1024 cargo test -q --test streaming --test obs_differential
 
 # The root `cargo test` runs only the ninec-suite facade. Run the member
 # crates' own tests (core's engine units, serve's service, chaos and soak
