@@ -17,10 +17,12 @@
 //! - [`mod@encode`] / [`mod@decode`] — the codec, word-parallel on the
 //!   packed care/value planes, with streaming entry points
 //!   ([`encode::StreamEncoder`], [`decode::StreamDecoder`]) that hold only
-//!   `O(K)` state between chunks; the decoder resolves each codeword with
-//!   one table lookup and moves halves as words;
+//!   `O(K)` state between chunks; the encoder names each block's case
+//!   with one table lookup on its halves' classes, the decoder each
+//!   codeword with one lookup on its bits, and both move halves as words;
 //! - [`stream`] — the [`stream::BitSink`] abstraction the streaming codec
-//!   writes through;
+//!   writes through, and the word window and accumulator both directions
+//!   share;
 //! - [`session`] — the unified [`session::DecodeSession`] builder entry
 //!   point for everything decode (the deprecated `decode*` free
 //!   functions it replaced were removed in 0.4.0 — see the README's
