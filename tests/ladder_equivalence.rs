@@ -6,8 +6,8 @@
 //!
 //! 1. replay of every committed corpus frame (`tests/corpus/*.9cf`);
 //! 2. an exhaustive single-byte mutation sweep over a golden v2 and a
-//!    golden v3 frame (every offset × two mutation values, plus every
-//!    truncation length on the corpus frames' generator seed);
+//!    golden v3 frame (every offset × two mutation values), plus every
+//!    truncation length of a second golden v2 and v3 frame;
 //! 3. proptest campaigns across `K ∈ {4, 8, 16, 32}` × threads
 //!    `{1, 8}` with random multi-site corruption;
 //! 4. the 9C codec's own outcomes: seeded raw streams over four code
@@ -407,6 +407,21 @@ fn every_single_byte_mutation_ladders_identically_v3() {
         .map(|(name, mutant)| (name.clone(), render_outcome(&eng, mutant)))
         .collect();
     check_outcomes("outcomes_mutation_v3.txt", &outcomes);
+    assert_streams_agree(&eng, &inputs);
+}
+
+#[test]
+fn every_truncation_ladders_identically_v2() {
+    let clean = golden(11);
+    let eng = engine(2);
+    let inputs: Vec<(String, Vec<u8>)> = (0..clean.len())
+        .map(|len| (format!("v2[..{len}]"), clean[..len].to_vec()))
+        .collect();
+    let outcomes: Vec<(String, String)> = inputs
+        .iter()
+        .map(|(name, cut)| (name.clone(), render_outcome(&eng, cut)))
+        .collect();
+    check_outcomes("outcomes_truncation_v2.txt", &outcomes);
     assert_streams_agree(&eng, &inputs);
 }
 
