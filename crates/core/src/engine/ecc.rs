@@ -28,6 +28,11 @@
 //! may be *shorter* than the group's shard length — they are implicitly
 //! zero-padded, so ragged segment lengths and short final groups need no
 //! padding copies on the caller's side.
+//!
+//! `ParityCoder::rebuild` is the one rebuild of a damaged parity group: it
+//! sizes the group's shards and reconstructs its erased members. Both the
+//! decode ladder's repair rung (`salvage`) and the archive scrubber
+//! (`scrub`) call it; each keeps only its own acceptance check.
 
 use std::fmt;
 
@@ -166,6 +171,10 @@ impl fmt::Display for EccError {
 }
 
 impl std::error::Error for EccError {}
+
+/// A parity group rebuilt by [`ParityCoder::rebuild`]: its shard length
+/// and `(slot, bytes)` for every erased member.
+pub(crate) type GroupRebuild = (usize, Vec<(usize, Vec<u8>)>);
 
 /// A systematic RS-over-GF(256) coder for one parity geometry `(g, r)`.
 ///
@@ -325,6 +334,45 @@ impl ParityCoder {
             out.push((t, rebuilt));
         }
         Ok(out)
+    }
+
+    /// Rebuilds the erased members of one parity group.
+    ///
+    /// `members` holds the group's data shards in slot order, `None` for
+    /// an erased one; the slots past its end, up to `g`, are the virtual
+    /// zero members of a short final group. `parity` holds the group's `r`
+    /// parity shards, `None` for a lost one. The shard length is the
+    /// length the surviving parity shards share or, when none survives,
+    /// that of the longest surviving member. Returns that length and
+    /// `(slot, bytes)` for every erased member, each `shard_len` bytes.
+    ///
+    /// `None` when the surviving parity shards differ in length, a
+    /// surviving member is longer than the shard length (the parity cannot
+    /// cover it), the slots do not fit the geometry, or fewer than `g`
+    /// shards survive.
+    pub(crate) fn rebuild(
+        &self,
+        members: &[Option<&[u8]>],
+        parity: &[Option<&[u8]>],
+    ) -> Option<GroupRebuild> {
+        let mut parity_lens = parity.iter().flatten().map(|p| p.len());
+        let shard_len = match parity_lens.next() {
+            Some(len) if parity_lens.all(|l| l == len) => len,
+            Some(_) => return None,
+            None => members.iter().flatten().map(|m| m.len()).max().unwrap_or(0),
+        };
+        if members.iter().flatten().any(|m| m.len() > shard_len) {
+            return None;
+        }
+        let virtual_members = self.g.checked_sub(members.len())?;
+        let slots: Vec<Option<&[u8]>> = members
+            .iter()
+            .copied()
+            .chain(std::iter::repeat_n(Some(&[][..]), virtual_members))
+            .chain(parity.iter().copied())
+            .collect();
+        let rebuilt = self.reconstruct(&slots, shard_len).ok()?;
+        Some((shard_len, rebuilt))
     }
 }
 
@@ -511,6 +559,40 @@ mod tests {
             )
             .expect("recoverable");
         assert_eq!(rec, vec![(1usize, b.to_vec())]);
+    }
+
+    #[test]
+    fn rebuild_sizes_the_group_and_refuses_what_parity_cannot_cover() {
+        let coder = ParityCoder::new(4, 2).expect("valid geometry");
+        let a = [7u8, 1, 2, 3, 4, 5];
+        let b = [3u8, 9, 9];
+        let b_padded = vec![3u8, 9, 9, 0, 0, 0];
+        // A short final group: two real members, two virtual zero ones.
+        let parity = coder.encode(&[&a, &b], 6);
+        let (p0, p1) = (Some(&parity[0][..]), Some(&parity[1][..]));
+        assert_eq!(
+            coder.rebuild(&[None, None], &[p0, p1]),
+            Some((6, vec![(0, a.to_vec()), (1, b_padded.clone())]))
+        );
+        assert_eq!(
+            coder.rebuild(&[Some(&a), None], &[None, p1]),
+            Some((6, vec![(1, b_padded)]))
+        );
+        // Surviving parity shards of different lengths.
+        assert_eq!(
+            coder.rebuild(&[Some(&a), None], &[p0, Some(&parity[1][..5])]),
+            None
+        );
+        // A surviving member longer than the parity.
+        assert_eq!(coder.rebuild(&[Some(&[1u8; 7]), None], &[p0, p1]), None);
+        // An erased member with no surviving parity.
+        assert_eq!(coder.rebuild(&[Some(&a), None], &[None, None]), None);
+        // With no parity left and nothing erased, the longest member
+        // sizes the group.
+        assert_eq!(
+            coder.rebuild(&[Some(&a), Some(&b)], &[None, None]),
+            Some((6, Vec::new()))
+        );
     }
 
     #[test]

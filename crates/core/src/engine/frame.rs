@@ -402,19 +402,6 @@ pub struct ParsedSegment<'a> {
     pub payload: &'a [u8],
 }
 
-impl ParsedSegment<'_> {
-    /// Unpacks the payload into a [`TritVec`].
-    ///
-    /// # Errors
-    ///
-    /// [`FrameError::Malformed`] if a reserved `11` trit code appears
-    /// (`segment` is filled in by the caller as `usize::MAX` here; use
-    /// [`unpack_payload`] for a properly attributed error).
-    pub fn unpack(&self) -> Result<TritVec, FrameError> {
-        unpack_payload(self, usize::MAX)
-    }
-}
-
 /// Appends the file header for `segments` segments totalling `source_len`
 /// source trits, encoded with a table of codeword `lengths`. The trailing
 /// header CRC-32 is computed and appended automatically.
@@ -759,15 +746,11 @@ pub fn group_of(index: usize, groups: usize) -> usize {
     }
 }
 
-/// Position of data segment `index` within its parity group (the shard
-/// slot it occupies: `index / groups`).
-#[must_use]
-pub fn position_in_group(index: usize, groups: usize) -> usize {
-    index.checked_div(groups).unwrap_or(0)
-}
-
 /// Data-segment indices belonging to parity group `group`, in shard-slot
-/// order: `group, group + groups, group + 2·groups, …` below `n`.
+/// order: slot `s` holds segment `group + s·groups`, for every such index
+/// below `n`. The slots past the last one, up to the group size `g`, are
+/// the virtual zero members of a short final group. This is the one
+/// statement of the slot layout that encode, repair and scrub share.
 pub fn group_members(group: usize, n: usize, groups: usize) -> impl Iterator<Item = usize> {
     let step = groups.max(1);
     (group..n).step_by(step)
@@ -955,6 +938,18 @@ pub(crate) fn segment_at<'a>(
     ))
 }
 
+/// `true` when `blob` is one intact stored segment — a parity segment
+/// when `parity` — that parses to exactly its own length, CRC and
+/// `limits` included. The archive checks every stored blob this way.
+pub(crate) fn is_whole_segment(blob: &[u8], parity: bool, limits: &DecodeLimits) -> bool {
+    let end = if parity {
+        parity_at(blob, 0, 0, limits, None).map(|(_, end)| end)
+    } else {
+        segment_at(blob, 0, 0, limits, None).map(|(_, end)| end)
+    };
+    end.is_ok_and(|end| end == blob.len())
+}
+
 /// Publishes frame-health counters for a failed parse/scan step.
 pub(crate) fn publish_failure_metrics(e: &FrameError) {
     match e {
@@ -1115,142 +1110,6 @@ pub fn unpack_payload(seg: &ParsedSegment<'_>, segment: usize) -> Result<TritVec
 }
 
 #[cfg(test)]
-/// A parsed (fully CRC-verified) segment frame: the result of the eager
-/// reference parser [`parse_limited`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct ParsedFrame<'a> {
-    /// Codeword lengths of C1..C9, as stored in the header.
-    pub table_lengths: [u8; 9],
-    /// Total source trits across all segments, as stored in the header.
-    pub source_len: usize,
-    /// The data segments, in stream order.
-    pub segments: Vec<ParsedSegment<'a>>,
-    /// Data segments per parity group (0 = unprotected / v2 frame).
-    pub parity_g: u8,
-    /// Parity segments per group.
-    pub parity_r: u8,
-    /// The parity shards, in `(group, pindex)` order (empty for v2 or
-    /// `parity_g = 0` frames).
-    pub parity: Vec<ParsedParity<'a>>,
-}
-
-#[cfg(test)]
-impl ParsedFrame<'_> {
-    /// Number of parity groups covering the data segments.
-    pub(crate) fn groups(&self) -> usize {
-        group_count(self.segments.len(), self.parity_g)
-    }
-}
-
-/// [`parse_limited`] with the [`Default`] [`DecodeLimits`].
-#[cfg(test)]
-pub(crate) fn parse(bytes: &[u8]) -> Result<ParsedFrame<'_>, FrameError> {
-    parse_limited(bytes, &DecodeLimits::default())
-}
-
-/// The eager strict parser, kept as the reference the plan walk's
-/// strict verdict is diffed against: parses and CRC-verifies a whole
-/// frame in strict order without unpacking any payload — the bomb check,
-/// then each data segment with its allocation charge, the source-length
-/// sum, the parity segments in `(group, pindex)` order, and trailing
-/// bytes.
-#[cfg(test)]
-pub(crate) fn parse_limited<'a>(
-    bytes: &'a [u8],
-    limits: &DecodeLimits,
-) -> Result<ParsedFrame<'a>, FrameError> {
-    let head = parse_file_header(bytes, limits)?;
-    let segments = head.segments;
-    let parity_segments = head.parity_segments;
-    // Bomb check: each claimed segment (data + parity) needs at least a
-    // 16-byte header, so the header count must fit in the remaining
-    // bytes *before* the `Vec::with_capacity` below — a tiny file
-    // claiming `u32::MAX` segments is rejected here without allocating.
-    let body = bytes.len() - head.header_bytes();
-    match segments
-        .checked_add(parity_segments)
-        .and_then(|n| n.checked_mul(SEGMENT_HEADER_BYTES))
-    {
-        Some(need) if need <= body => {}
-        _ => {
-            return Err(FrameError::Truncated {
-                offset: bytes.len(),
-            })
-        }
-    }
-    let mut alloc_budget = trit_alloc_bytes(head.source_len);
-    let mut parsed = Vec::with_capacity(segments);
-    let mut at = head.header_bytes();
-    let mut covered = 0usize;
-    for segment in 0..segments {
-        let (seg, next) = segment_at(bytes, at, segment, limits, None)?;
-        alloc_budget = alloc_budget
-            .saturating_add(trit_alloc_bytes(seg.source_trits))
-            .saturating_add(trit_alloc_bytes(seg.payload_trits));
-        if alloc_budget > limits.max_total_alloc {
-            return Err(FrameError::LimitExceeded {
-                what: "total decode allocation",
-                requested: alloc_budget,
-                limit: limits.max_total_alloc,
-            });
-        }
-        covered = covered
-            .checked_add(seg.source_trits)
-            .ok_or(FrameError::Malformed {
-                segment,
-                what: "segment source lengths overflow",
-            })?;
-        parsed.push(seg);
-        at = next;
-    }
-    if covered != head.source_len {
-        return Err(FrameError::Malformed {
-            segment: segments,
-            what: "segment source lengths do not sum to the header total",
-        });
-    }
-    // Parity segments follow the data, in (group, pindex) order; the
-    // strict parse verifies the geometry labels match their positions.
-    let groups = head.groups();
-    let mut parity = Vec::with_capacity(parity_segments);
-    for p in 0..parity_segments {
-        let segment = segments + p;
-        let (par, next) = parity_at(bytes, at, segment, limits, None)?;
-        alloc_budget = alloc_budget.saturating_add(par.payload.len());
-        if alloc_budget > limits.max_total_alloc {
-            return Err(FrameError::LimitExceeded {
-                what: "total decode allocation",
-                requested: alloc_budget,
-                limit: limits.max_total_alloc,
-            });
-        }
-        let (want_group, want_pindex) = (p / head.parity_r as usize, p % head.parity_r as usize);
-        if par.group != want_group || par.pindex != want_pindex || par.group >= groups {
-            return Err(FrameError::Malformed {
-                segment,
-                what: "parity segment out of (group, pindex) order",
-            });
-        }
-        parity.push(par);
-        at = next;
-    }
-    if at != bytes.len() {
-        return Err(FrameError::Malformed {
-            segment: segments,
-            what: "trailing bytes after the last segment",
-        });
-    }
-    Ok(ParsedFrame {
-        table_lengths: head.table_lengths,
-        source_len: head.source_len,
-        segments: parsed,
-        parity_g: head.parity_g,
-        parity_r: head.parity_r,
-        parity,
-    })
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::plan::{self, BuildMode, FramePlan, PlanEntry};
@@ -1259,6 +1118,51 @@ mod tests {
     /// The fault-tolerant walk over a whole frame: a full plan build.
     fn scan<'a>(bytes: &'a [u8], limits: &DecodeLimits) -> Result<FramePlan<'a>, FrameError> {
         plan::build(bytes, limits, BuildMode::Full)
+    }
+
+    /// The fail-fast walk strict decode runs, which must find `bytes`
+    /// strictly valid.
+    fn strict_plan(bytes: &[u8]) -> FramePlan<'_> {
+        let plan = plan::build(bytes, &DecodeLimits::default(), BuildMode::FailFast)
+            .expect("file header parses");
+        assert_eq!(plan.strict_error(), None);
+        plan
+    }
+
+    /// Strict decode's typed error for `bytes` under `limits`: a
+    /// file-level error or the fail-fast walk's strict verdict.
+    fn strict_error(bytes: &[u8], limits: &DecodeLimits) -> Option<FrameError> {
+        match plan::build(bytes, limits, BuildMode::FailFast) {
+            Ok(plan) => plan.strict_error,
+            Err(e) => Some(e),
+        }
+    }
+
+    /// [`strict_error`] under the default limits.
+    fn verdict(bytes: &[u8]) -> Option<FrameError> {
+        strict_error(bytes, &DecodeLimits::default())
+    }
+
+    /// A plan's data segments, in stream order.
+    fn data_segments<'a>(plan: &FramePlan<'a>) -> Vec<ParsedSegment<'a>> {
+        plan.entries()
+            .iter()
+            .filter_map(|e| match e {
+                PlanEntry::Data { seg, .. } => Some(*seg),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// A plan's parity shards, in stream order.
+    fn parity_shards<'a>(plan: &FramePlan<'a>) -> Vec<ParsedParity<'a>> {
+        plan.entries()
+            .iter()
+            .filter_map(|e| match e {
+                PlanEntry::Parity { par, .. } => Some(*par),
+                _ => None,
+            })
+            .collect()
     }
 
     fn tv(s: &str) -> TritVec {
@@ -1322,15 +1226,16 @@ mod tests {
     fn roundtrip_parse() {
         let bytes = sample_frame();
         assert!(is_frame(&bytes));
-        let frame = parse(&bytes).expect("well-formed frame parses");
-        assert_eq!(frame.source_len, 32);
-        assert_eq!(frame.segments.len(), 2);
-        assert_eq!(frame.segments[0].k, 8);
-        assert_eq!(frame.segments[0].source_trits, 16);
-        assert_eq!(frame.segments[0].payload_trits, 7);
-        let a = unpack_payload(&frame.segments[0], 0).expect("payload unpacks");
+        let plan = strict_plan(&bytes);
+        assert_eq!(plan.source_len(), 32);
+        let segments = data_segments(&plan);
+        assert_eq!(segments.len(), 2);
+        assert_eq!(segments[0].k, 8);
+        assert_eq!(segments[0].source_trits, 16);
+        assert_eq!(segments[0].payload_trits, 7);
+        let a = unpack_payload(&segments[0], 0).expect("payload unpacks");
         assert_eq!(a.to_string(), "0110X01");
-        let b = frame.segments[1].unpack().expect("payload unpacks");
+        let b = unpack_payload(&segments[1], 1).expect("payload unpacks");
         assert_eq!(b.to_string(), "111000X");
     }
 
@@ -1339,7 +1244,7 @@ mod tests {
         let mut bytes = sample_frame();
         bytes[0] ^= 0xFF;
         assert!(!is_frame(&bytes));
-        assert_eq!(parse(&bytes), Err(FrameError::BadMagic));
+        assert_eq!(verdict(&bytes), Some(FrameError::BadMagic));
     }
 
     #[test]
@@ -1347,8 +1252,8 @@ mod tests {
         let mut bytes = sample_frame();
         bytes[4] = 99;
         assert_eq!(
-            parse(&bytes),
-            Err(FrameError::UnsupportedVersion { found: 99 })
+            verdict(&bytes),
+            Some(FrameError::UnsupportedVersion { found: 99 })
         );
     }
 
@@ -1358,7 +1263,7 @@ mod tests {
         // Flip a code-length byte: without the v2 header CRC this could
         // rebuild a different Kraft-valid table and decode silently wrong.
         bytes[6] ^= 0x01;
-        assert_eq!(parse(&bytes), Err(FrameError::BadHeaderCrc));
+        assert_eq!(verdict(&bytes), Some(FrameError::BadHeaderCrc));
         // Salvage treats an untrustworthy header as fatal too.
         assert!(matches!(
             scan(&bytes, &DecodeLimits::default()),
@@ -1371,7 +1276,7 @@ mod tests {
         let mut bytes = sample_frame();
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01;
-        assert_eq!(parse(&bytes), Err(FrameError::BadCrc { segment: 1 }));
+        assert_eq!(verdict(&bytes), Some(FrameError::BadCrc { segment: 1 }));
     }
 
     #[test]
@@ -1379,7 +1284,7 @@ mod tests {
         let mut bytes = sample_frame();
         // Flip the first segment's K field: CRC covers it.
         bytes[HEADER_BYTES] ^= 0x02;
-        let err = parse(&bytes).expect_err("corrupt K must not parse");
+        let err = verdict(&bytes).expect("corrupt K must not parse");
         assert!(
             matches!(
                 err,
@@ -1395,7 +1300,7 @@ mod tests {
     fn truncation_detected_at_every_length() {
         let bytes = sample_frame();
         for cut in 0..bytes.len() {
-            let err = parse(&bytes[..cut]).expect_err("truncated frame must not parse");
+            let err = verdict(&bytes[..cut]).expect("truncated frame must not parse");
             if cut >= HEADER_BYTES {
                 assert!(
                     matches!(err, FrameError::Truncated { .. }),
@@ -1410,8 +1315,8 @@ mod tests {
         let mut bytes = sample_frame();
         bytes.push(0xAB);
         assert!(matches!(
-            parse(&bytes),
-            Err(FrameError::Malformed {
+            verdict(&bytes),
+            Some(FrameError::Malformed {
                 what: "trailing bytes after the last segment",
                 ..
             })
@@ -1424,8 +1329,8 @@ mod tests {
         write_header(&mut out, [1, 2, 5, 5, 5, 5, 5, 5, 4], 1, 99);
         write_segment(&mut out, 8, 16, &tv("01")).expect("segment fits");
         assert!(matches!(
-            parse(&out),
-            Err(FrameError::Malformed {
+            verdict(&out),
+            Some(FrameError::Malformed {
                 what: "segment source lengths do not sum to the header total",
                 ..
             })
@@ -1467,16 +1372,16 @@ mod tests {
         assert_eq!(out.len(), HEADER_BYTES);
         // Default limits: the claimed count exceeds max_segments.
         assert!(matches!(
-            parse(&out),
-            Err(FrameError::LimitExceeded {
+            verdict(&out),
+            Some(FrameError::LimitExceeded {
                 what: "segment count",
                 ..
             })
         ));
         // Even unlimited: the count can't fit in the remaining bytes.
         assert!(matches!(
-            parse_limited(&out, &DecodeLimits::unlimited()),
-            Err(FrameError::Truncated { .. })
+            strict_error(&out, &DecodeLimits::unlimited()),
+            Some(FrameError::Truncated { .. })
         ));
         // Salvage refuses the bomb claim under default limits too.
         assert!(matches!(
@@ -1510,8 +1415,8 @@ mod tests {
         seg.extend_from_slice(&payload);
         out.extend_from_slice(&seg);
         assert!(matches!(
-            parse(&out),
-            Err(FrameError::Malformed {
+            verdict(&out),
+            Some(FrameError::Malformed {
                 what: "segment claims more source trits than its payload can encode",
                 ..
             })
@@ -1526,8 +1431,8 @@ mod tests {
             ..DecodeLimits::default()
         };
         assert!(matches!(
-            parse_limited(&bytes, &tight),
-            Err(FrameError::LimitExceeded {
+            strict_error(&bytes, &tight),
+            Some(FrameError::LimitExceeded {
                 what: "segment source trits",
                 ..
             })
@@ -1542,10 +1447,10 @@ mod tests {
             ..DecodeLimits::default()
         };
         assert!(matches!(
-            parse_limited(&bytes, &tight),
-            Err(FrameError::LimitExceeded { .. })
+            strict_error(&bytes, &tight),
+            Some(FrameError::LimitExceeded { .. })
         ));
-        assert!(parse_limited(&bytes, &DecodeLimits::unlimited()).is_ok());
+        assert_eq!(strict_error(&bytes, &DecodeLimits::unlimited()), None);
     }
 
     #[test]
@@ -1684,14 +1589,16 @@ mod tests {
     fn v3_roundtrip_parse() {
         let bytes = sample_frame_v3();
         assert!(is_frame(&bytes));
-        let frame = parse(&bytes).expect("well-formed v3 frame parses");
-        assert_eq!(frame.source_len, 32);
-        assert_eq!((frame.parity_g, frame.parity_r), (2, 1));
-        assert_eq!(frame.groups(), 1);
-        assert_eq!(frame.segments.len(), 2);
-        assert_eq!(frame.parity.len(), 1);
-        assert_eq!(frame.parity[0].group, 0);
-        assert_eq!(frame.parity[0].pindex, 0);
+        let plan = strict_plan(&bytes);
+        assert_eq!(plan.source_len(), 32);
+        assert_eq!((plan.parity_g(), plan.parity_r()), (2, 1));
+        assert_eq!(plan.groups(), 1);
+        let segments = data_segments(&plan);
+        assert_eq!(segments.len(), 2);
+        let parity = parity_shards(&plan);
+        assert_eq!(parity.len(), 1);
+        assert_eq!(parity[0].group, 0);
+        assert_eq!(parity[0].pindex, 0);
         // Data segments are byte-identical to their v2 form: same bytes
         // parse at the v2 offsets of a v2 header.
         let v2 = sample_frame();
@@ -1699,7 +1606,7 @@ mod tests {
             &bytes[HEADER_BYTES_V3..HEADER_BYTES_V3 + (v2.len() - HEADER_BYTES)],
             &v2[HEADER_BYTES..]
         );
-        let a = frame.segments[0].unpack().expect("payload unpacks");
+        let a = unpack_payload(&segments[0], 0).expect("payload unpacks");
         assert_eq!(a.to_string(), "0110X01");
     }
 
@@ -1711,9 +1618,9 @@ mod tests {
         write_header_v3(&mut bytes, [1, 2, 5, 5, 5, 5, 5, 5, 4], 2, 32, 0, 0);
         write_segment(&mut bytes, 8, 16, &payload_a).expect("segment fits");
         write_segment(&mut bytes, 8, 16, &payload_b).expect("segment fits");
-        let frame = parse(&bytes).expect("parity-free v3 parses");
-        assert!(frame.parity.is_empty());
-        assert_eq!(frame.groups(), 0);
+        let plan = strict_plan(&bytes);
+        assert!(parity_shards(&plan).is_empty());
+        assert_eq!(plan.groups(), 0);
         // Body is byte-identical to the v2 frame's body.
         let v2 = sample_frame();
         assert_eq!(&bytes[HEADER_BYTES_V3..], &v2[HEADER_BYTES..]);
@@ -1725,16 +1632,16 @@ mod tests {
         // g + r = 400 > 255: beyond the GF(256) shard ceiling.
         write_header_v3(&mut bytes, [1, 2, 5, 5, 5, 5, 5, 5, 4], 0, 0, 200, 200);
         assert!(matches!(
-            parse(&bytes),
-            Err(FrameError::Malformed { what, .. })
+            verdict(&bytes),
+            Some(FrameError::Malformed { what, .. })
                 if what.contains("shard ceiling")
         ));
         // Parity shards without a group size make no sense.
         let mut bytes = Vec::new();
         write_header_v3(&mut bytes, [1, 2, 5, 5, 5, 5, 5, 5, 4], 0, 0, 0, 3);
         assert!(matches!(
-            parse(&bytes),
-            Err(FrameError::Malformed { what, .. })
+            verdict(&bytes),
+            Some(FrameError::Malformed { what, .. })
                 if what.contains("without a group size")
         ));
     }
@@ -1744,13 +1651,12 @@ mod tests {
         let bytes = sample_frame_v3();
         let mut swapped = Vec::new();
         // Re-emit the parity shard with a wrong group label.
-        let frame = parse(&bytes).expect("parses");
-        let shard = frame.parity[0].payload.to_vec();
+        let shard = parity_shards(&strict_plan(&bytes))[0].payload.to_vec();
         swapped.extend_from_slice(&bytes[..bytes.len() - (SEGMENT_HEADER_BYTES + shard.len())]);
         write_parity_segment(&mut swapped, 7, 0, &shard).expect("fits");
         assert!(matches!(
-            parse(&swapped),
-            Err(FrameError::Malformed { what, .. })
+            verdict(&swapped),
+            Some(FrameError::Malformed { what, .. })
                 if what.contains("order")
         ));
     }
@@ -1758,8 +1664,7 @@ mod tests {
     #[test]
     fn v3_parity_shard_bomb_is_rejected_before_allocation() {
         let bytes = sample_frame_v3();
-        let frame = parse(&bytes).expect("parses");
-        let shard_len = frame.parity[0].payload.len();
+        let shard_len = parity_shards(&strict_plan(&bytes))[0].payload.len();
         let parity_start = bytes.len() - (SEGMENT_HEADER_BYTES + shard_len);
         let mut bomb = bytes[..parity_start].to_vec();
         // Forge a parity header claiming a ~4 GiB shard. The limit check
@@ -1771,8 +1676,8 @@ mod tests {
         bomb.extend_from_slice(&[0u8; 4]); // bogus CRC, never reached
         let limits = DecodeLimits::default();
         assert!(matches!(
-            parse_limited(&bomb, &limits),
-            Err(FrameError::LimitExceeded {
+            strict_error(&bomb, &limits),
+            Some(FrameError::LimitExceeded {
                 what: "parity shard bytes",
                 ..
             })
@@ -1828,7 +1733,6 @@ mod tests {
         for i in 0..7 {
             assert_eq!(group_of(i, groups), i % 3);
         }
-        assert_eq!(position_in_group(5, groups), 1);
         assert_eq!(group_members(0, 7, groups).collect::<Vec<_>>(), [0, 3, 6]);
         assert_eq!(group_members(1, 7, groups).collect::<Vec<_>>(), [1, 4]);
         assert_eq!(group_members(2, 7, groups).collect::<Vec<_>>(), [2, 5]);

@@ -757,13 +757,20 @@ mod tests {
         let best = engine
             .encode_frame_best_k(&[4, 8, 16], &stream)
             .expect("valid candidates");
-        let parsed = frame::parse(&best).expect("own frame parses");
-        let payload: usize = parsed.segments.iter().map(|s| s.payload_trits).sum();
+        // Payload trits summed over the data segments of a frame.
+        let payload_of = |bytes: &[u8]| -> usize {
+            let plan = engine.build_plan(bytes).expect("own frame plans");
+            plan.entries()
+                .iter()
+                .map(|e| match e {
+                    PlanEntry::Data { seg, .. } => seg.payload_trits,
+                    _ => 0,
+                })
+                .sum()
+        };
+        let payload = payload_of(&best);
         for k in [4usize, 8, 16] {
-            let single = engine.encode_frame(k, &stream).expect("valid K");
-            let single_parsed = frame::parse(&single).expect("own frame parses");
-            let single_payload: usize =
-                single_parsed.segments.iter().map(|s| s.payload_trits).sum();
+            let single_payload = payload_of(&engine.encode_frame(k, &stream).expect("valid K"));
             assert!(
                 payload <= single_payload,
                 "best-K payload {payload} > K={k} payload {single_payload}"

@@ -628,11 +628,19 @@ mod tests {
             .parity(2, 1)
             .build();
         let frame_bytes = engine.encode_frame(8, &stream).expect("valid K");
-        let parsed = frame::parse(&frame_bytes).expect("parses");
+        let plan = engine.build_plan(&frame_bytes).expect("plans");
+        let shards: Vec<&[u8]> = plan
+            .entries()
+            .iter()
+            .filter_map(|e| match e {
+                PlanEntry::Parity { par, .. } => Some(par.payload),
+                _ => None,
+            })
+            .collect();
         let mut fr = FrameReader::new(Cursor::new(frame_bytes.clone()));
         let head = fr.header().expect("header reads");
-        assert_eq!(head.segments, parsed.segments.len());
-        assert_eq!(head.parity_segments, parsed.parity.len());
+        assert_eq!(head.segments, plan.intact_count());
+        assert_eq!(head.parity_segments, shards.len());
         assert_eq!((head.parity_g, head.parity_r), (2, 1));
         let mut data = 0;
         let mut parity = 0;
@@ -647,7 +655,7 @@ mod tests {
                 StreamItem::Parity(par) => {
                     assert_eq!(par.group, parity); // r = 1: one shard per group
                     assert_eq!(par.pindex, 0);
-                    assert_eq!(par.shard, parsed.parity[parity].payload);
+                    assert_eq!(par.shard, shards[parity]);
                     parity += 1;
                 }
                 StreamItem::Damaged { .. } => panic!("clean frame has no damage"),
@@ -848,9 +856,8 @@ mod tests {
         let mut bytes = engine.encode_frame(8, &stream).expect("valid K");
         // Append a whole duplicate of the last segment: parseable, but
         // beyond the claimed count.
-        let parsed = frame::parse(&bytes).expect("parses");
-        let last_len =
-            SEGMENT_HEADER_BYTES + parsed.segments.last().expect("nonempty").payload.len();
+        let plan = engine.build_plan(&bytes).expect("plans");
+        let last_len = plan.entries().last().expect("nonempty").byte_range().len();
         let tail = bytes[bytes.len() - last_len..].to_vec();
         bytes.extend_from_slice(&tail);
         let err = engine
