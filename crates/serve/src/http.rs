@@ -19,21 +19,22 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// Request-head ceiling: method + path + headers must fit in this many
 /// bytes or the connection is dropped (no unbounded buffering here
 /// either).
 const MAX_REQUEST_HEAD: usize = 8 << 10;
 
+/// Per-read socket timeout on an exporter connection.
+const READ_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// Spawns the exporter thread. It exits when `stop` is set *and* one
 /// more connection arrives to unblock `accept` (the server's shutdown
-/// sends that nudge). `read_timeout` is
-/// [`ServeConfig::http_read_timeout`](crate::ServeConfig::http_read_timeout),
-/// tunable next to the wire listener's budget.
+/// sends that nudge).
 pub(crate) fn spawn(
     listener: TcpListener,
     stop: Arc<AtomicBool>,
-    read_timeout: std::time::Duration,
 ) -> std::io::Result<JoinHandle<()>> {
     std::thread::Builder::new()
         .name("ninec-serve-http".to_string())
@@ -43,14 +44,14 @@ pub(crate) fn spawn(
                     break;
                 }
                 let Ok(stream) = conn else { continue };
-                let _ = serve_one(stream, read_timeout);
+                let _ = serve_one(stream);
             }
         })
 }
 
 /// Reads one request head and answers it.
-fn serve_one(mut stream: TcpStream, read_timeout: std::time::Duration) -> std::io::Result<()> {
-    let _ = stream.set_read_timeout(Some(read_timeout));
+fn serve_one(mut stream: TcpStream) -> std::io::Result<()> {
+    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
     let mut head = Vec::new();
     let mut chunk = [0u8; 1024];
     while !head.windows(4).any(|w| w == b"\r\n\r\n") {

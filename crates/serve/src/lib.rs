@@ -99,8 +99,6 @@ pub struct ServeConfig {
     /// a shrinking per-read socket timeout, so trickled bytes cannot
     /// reset it.)
     pub read_timeout: Option<Duration>,
-    /// Per-read socket timeout on the HTTP exporter listener.
-    pub http_read_timeout: Duration,
     /// Server-side ceiling on any single request's decode time. The
     /// effective deadline is `min(client deadline, max_request_time)`;
     /// work past it is cancelled at the next segment boundary and
@@ -130,7 +128,6 @@ impl Default for ServeConfig {
             segment_bits: 256,
             parity: (4, 1),
             read_timeout: Some(Duration::from_secs(60)),
-            http_read_timeout: Duration::from_secs(5),
             max_request_time: Some(Duration::from_secs(60)),
             tenants: Vec::new(),
             archive: None,

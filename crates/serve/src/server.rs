@@ -327,11 +327,7 @@ impl Server {
                 .spawn(move || accept_loop(&shared, &listener, &tx))?
         };
         let http = match http_listener {
-            Some(listener) => Some(http::spawn(
-                listener,
-                Arc::clone(&shared.stop),
-                shared.config.http_read_timeout,
-            )?),
+            Some(listener) => Some(http::spawn(listener, Arc::clone(&shared.stop))?),
             None => None,
         };
 
