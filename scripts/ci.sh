@@ -44,11 +44,14 @@ grep -q '^#!\[deny(clippy::unwrap_used)\]' crates/core/src/engine/mod.rs || {
 # and a hostile writer chooses those bits. stream.rs holds the input
 # window and the output accumulator that every decode and every encode
 # runs through, serve's compress op on client-chosen trits included.
-echo "==> frame/crc/ecc/reader/plan/exec/cancel/archive/scrub/decode/stream/serve no-unwrap/expect guard"
+# salvage.rs runs the repair and salvage rungs on hostile frames: it maps
+# damaged plan entries onto parity-group slots and parses every rebuilt
+# shard, so a panic there turns a repairable frame into an abort.
+echo "==> frame/crc/ecc/reader/plan/exec/cancel/salvage/archive/scrub/decode/stream/serve no-unwrap/expect guard"
 for f in crates/core/src/engine/frame.rs crates/core/src/engine/crc.rs \
          crates/core/src/engine/ecc.rs crates/core/src/engine/reader.rs \
          crates/core/src/engine/plan.rs crates/core/src/engine/exec.rs \
-         crates/core/src/engine/cancel.rs \
+         crates/core/src/engine/cancel.rs crates/core/src/engine/salvage.rs \
          crates/core/src/engine/archive.rs crates/core/src/engine/scrub.rs \
          crates/core/src/decode.rs crates/core/src/stream.rs \
          crates/serve/src/*.rs; do
