@@ -825,6 +825,79 @@ fn corpus_replay() {
 }
 
 // ---------------------------------------------------------------------------
+// Repair-rung paths the sweeps do not reach.
+// ---------------------------------------------------------------------------
+
+/// An 800-trit source: 13 segments of 64 trits (the last one 32).
+fn stream_800() -> TritVec {
+    let set = SyntheticProfile::new("rung", 10, 80, 0.72).generate(3);
+    assert_eq!(set.as_stream().len(), 800);
+    set.as_stream().clone()
+}
+
+/// A one-thread v3 engine with 64-trit segments and `g:r` parity.
+fn engine_64(g: u8, r: u8) -> ninec::engine::EngineBuilder {
+    Engine::builder().threads(1).segment_bits(64).parity(g, r)
+}
+
+/// `bytes` with the first payload byte of data segment `i` flipped.
+fn flip_payload(engine: &Engine, bytes: &[u8], i: usize) -> Vec<u8> {
+    let plan = engine.build_plan(bytes).unwrap();
+    let at = plan.entries()[i].byte_range().start;
+    let mut bad = bytes.to_vec();
+    bad[at + SEGMENT_HEADER_BYTES] ^= 0x55;
+    bad
+}
+
+/// A segment rebuilt from parity that would overshoot the header's
+/// source-length total is erased under its own wire damage, never
+/// spliced in. Data segment 0 is swapped for a CRC-valid 128-trit
+/// segment, so segment 11 already overshoots (a header mismatch) and the
+/// rebuilt segment 12 has no trits left to cover.
+#[test]
+fn a_rebuilt_segment_past_the_header_total_is_erased() {
+    let stream = stream_800();
+    let eng = engine_64(2, 1).build();
+    let frame = eng.encode_frame(8, &stream).unwrap();
+    let wide = Engine::builder()
+        .threads(1)
+        .segment_bits(128)
+        .build()
+        .encode_frame(8, &stream)
+        .unwrap();
+    let seg0 = eng.build_plan(&frame).unwrap().entries()[0].byte_range();
+    let wide0 = eng.build_plan(&wide).unwrap().entries()[0].byte_range();
+    let spliced = [&frame[..seg0.start], &wide[wide0], &frame[seg0.end..]].concat();
+    let bad = flip_payload(&eng, &spliced, 12);
+
+    let report = repair(&eng, &bad).unwrap();
+    assert_eq!(report.trits.len(), 800);
+    assert_eq!(report.repaired_segments(), 0);
+    assert_eq!((report.recovered_segments, report.total_segments), (11, 13));
+    let map: Vec<_> = report
+        .damaged
+        .iter()
+        .map(|d| (d.index, d.reason.clone(), d.trit_range.clone()))
+        .collect();
+    assert_eq!(
+        map,
+        vec![
+            (
+                11,
+                ninec::DamageReason::HeaderMismatch(
+                    "segment exceeds the header's source-length total"
+                ),
+                768..800
+            ),
+            (12, ninec::DamageReason::BadCrc, 800..800),
+        ]
+    );
+    assert!((768..800).all(|i| report.trits.get(i) == Some(Trit::X)));
+    // The rebuild changed nothing: salvage alone reports the same.
+    assert_eq!(report, salvage(&eng, &bad).unwrap());
+}
+
+// ---------------------------------------------------------------------------
 // Failpoint-armed tests: forced worker panics, delays and torn writes.
 // ---------------------------------------------------------------------------
 
@@ -832,6 +905,7 @@ fn corpus_replay() {
 mod failpoints {
     use super::*;
     use ninec::engine::faultpoint::{Action, FailPoint, SITE_SEG};
+    use std::time::Duration;
 
     fn seg_point(index: Option<usize>, action: Action) -> FailPoint {
         FailPoint {
@@ -931,5 +1005,35 @@ mod failpoints {
             .filter(|&i| torn.get(i) != clean_out.get(i))
             .collect();
         assert_eq!(diffs, vec![0], "torn write must flip exactly trit 0");
+    }
+
+    /// A deadline that trips while the last intact segment decodes
+    /// cancels the parity-group rebuild queued behind it: the damaged
+    /// segment erases under its own `BadCrc`, neither `Cancelled` nor
+    /// `RepairedBy`, and every intact segment is still recovered.
+    #[test]
+    fn a_cancelled_repair_job_leaves_its_group_erased() {
+        let stream = stream_800();
+        let eng = engine_64(4, 1).build();
+        let frame = eng.encode_frame(8, &stream).unwrap();
+        let bad = flip_payload(&eng, &frame, 0);
+        let plan = eng.build_plan(&bad).unwrap();
+
+        let repaired = eng.execute_plan(&plan, Policy::Repair).unwrap();
+        assert!(repaired.is_full_recovery(), "{:?}", repaired.damaged);
+        assert_eq!(repaired.repaired_segments(), 1);
+
+        let armed = engine_64(4, 1)
+            .failpoint(seg_point(Some(12), Action::Delay { millis: 60 }))
+            .cancel_token(ninec::CancelToken::after(Duration::from_millis(20)))
+            .build();
+        let report = armed.execute_plan(&plan, Policy::Repair).unwrap();
+        assert_eq!((report.recovered_segments, report.total_segments), (12, 13));
+        assert_eq!(report.repaired_segments(), 0);
+        assert_eq!(report.damaged.len(), 1, "{:?}", report.damaged);
+        let d = &report.damaged[0];
+        assert_eq!(d.index, 0);
+        assert_eq!(d.reason, ninec::DamageReason::BadCrc);
+        assert_eq!(d.trit_range, 0..64);
     }
 }
