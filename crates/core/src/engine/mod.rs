@@ -564,8 +564,9 @@ impl Engine {
         plan::execute_strict(self, &built).map(|report| report.trits)
     }
 
-    /// Decodes one parsed segment — the shared per-task body of every
-    /// decode: strict, repair, salvage and streaming.
+    /// Decodes one parsed segment, attributed to index `i`, under its
+    /// `segment_decode` span — the one segment job of every decode:
+    /// strict, repair, salvage and streaming.
     /// Armed [`faultpoint`]s fire here (panic/delay before the work,
     /// corrupt after), which is what makes worker panics and torn writes
     /// deterministically injectable.
@@ -575,6 +576,11 @@ impl Engine {
         i: usize,
         table: &DecodeTable,
     ) -> Result<TritVec, DecodeError> {
+        let _seg_span = ninec_obs::trace_span_scope(
+            "segment_decode",
+            u32::try_from(i).unwrap_or(u32::MAX),
+            ninec_obs::TracePayload::None,
+        );
         let fault = faultpoint::fire(&self.failpoints, faultpoint::SITE_SEG, i);
         match fault {
             Some(faultpoint::Action::Panic) => panic!("failpoint seg:{i}:panic"),

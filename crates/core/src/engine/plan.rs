@@ -17,7 +17,9 @@
 //! CLI) drives: build one plan, try [`Policy::Strict`], fall back to
 //! [`Policy::Repair`] or [`Policy::Salvage`] **on the same plan** — one
 //! header/CRC pass for the whole ladder, proven by the
-//! `ninec.frame.scan_passes` counter.
+//! `ninec.frame.scan_passes` counter. Every rung, and the streaming
+//! reader, decodes a segment through one segment job,
+//! `Engine::decode_one_segment`, which opens its `segment_decode` span.
 //!
 //! The walk itself is the `Walker` step: given the bytes at hand, it
 //! classifies the entry at the walk position into a [`PlanEntry`] — or
@@ -887,15 +889,7 @@ pub(crate) fn decode_segments(
         segs.len(),
         |_| Priority::High,
         cancel,
-        |j| {
-            let (i, seg) = &segs[j];
-            let _seg_span = ninec_obs::trace_span_scope(
-                "segment_decode",
-                u32::try_from(*i).unwrap_or(u32::MAX),
-                ninec_obs::TracePayload::None,
-            );
-            engine.decode_one_segment(seg, *i, table)
-        },
+        |j| engine.decode_one_segment(&segs[j].1, segs[j].0, table),
     )
 }
 
