@@ -48,7 +48,7 @@
 use crate::code::CodeTable;
 use crate::decode::{DecodeError, StreamDecoder};
 use crate::encode::Encoded;
-use crate::engine::{DecodeAudit, DecodeLimits, Engine, FramePlan, Policy, SalvageReport};
+use crate::engine::{plan, DecodeAudit, DecodeLimits, Engine, FramePlan, Policy, SalvageReport};
 use ninec_testdata::bits::BitVec;
 use ninec_testdata::trit::TritVec;
 
@@ -231,7 +231,10 @@ impl DecodeSession {
     /// the session may go, driven against **one** [`FramePlan`] (a
     /// single header/CRC scan pass):
     ///
-    /// - [`Policy::Strict`] — fail closed on any damaged segment;
+    /// - [`Policy::Strict`] — fail closed on any damaged segment, with
+    ///   [`Engine::decode_frame`]'s verdict: the plan comes from its
+    ///   fail-fast walk, which stops at the first damage instead of
+    ///   resynchronising past it;
     /// - [`Policy::Repair`] — rebuild damage byte-exactly from v3 parity
     ///   groups first, erase to `X` only what parity cannot reach;
     /// - [`Policy::Salvage`] — skip parity, erase damaged spans to `X`.
@@ -285,7 +288,10 @@ impl DecodeSession {
         policy: Policy,
     ) -> Result<(SalvageReport, bool), DecodeError> {
         let engine = self.engine();
-        let plan = engine.build_plan(bytes)?;
+        let plan = match policy {
+            Policy::Strict => plan::build(bytes, engine.limits(), plan::BuildMode::FailFast)?,
+            _ => engine.build_plan(bytes)?,
+        };
         match engine.execute_plan(&plan, Policy::Strict) {
             Ok(report) => Ok((report, false)),
             Err(e) => match policy {

@@ -477,6 +477,49 @@ fn streaming_strict_charges_parity_like_the_in_memory_walk() {
     }
 }
 
+/// A strict session decode returns the engine's fail-fast verdict even
+/// where the full walk runs out of resync probes: with a budget of four
+/// probes the full plan fails with `LimitExceeded`, while
+/// [`Engine::decode_frame`] and the strict session both report the
+/// damaged segment's `BadCrc`. Repair and salvage keep the full plan.
+#[test]
+fn strict_session_returns_the_engine_verdict_past_the_probe_budget() {
+    let limits = DecodeLimits {
+        max_resync_probes: 4,
+        ..DecodeLimits::default()
+    };
+    let eng = Engine::builder()
+        .threads(1)
+        .segment_bits(256)
+        .limits(limits)
+        .build();
+    let mut bad = golden(5);
+    bad[frame::HEADER_BYTES + frame::SEGMENT_HEADER_BYTES] ^= 0x55;
+    let full = eng.build_plan(&bad).map(|_| ());
+    assert!(
+        matches!(
+            full,
+            Err(DecodeError::LimitExceeded {
+                what: "resync probes",
+                ..
+            })
+        ),
+        "{full:?}"
+    );
+    let want = eng.decode_frame(&bad);
+    assert_eq!(
+        want,
+        Err(DecodeError::Frame(FrameError::BadCrc { segment: 0 }))
+    );
+    let session = DecodeSession::new().threads(1).limits(limits);
+    let got = session.decode_frame(&bad, Policy::Strict).map(|o| o.trits);
+    assert_eq!(got, want);
+    for policy in [Policy::Repair, Policy::Salvage] {
+        let ladder = session.decode_frame(&bad, policy).map(|_| ());
+        assert_eq!(ladder, full, "{policy:?}");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // 3. Proptest campaigns: K × threads × random corruption.
 // ---------------------------------------------------------------------------
