@@ -14,6 +14,7 @@
 //! With runtime telemetry off (`ninec_obs::set_runtime_enabled(false)`)
 //! both exporters still answer 200, with whatever was recorded before.
 
+use crate::server::DeadlineReader;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -26,7 +27,8 @@ use std::time::Duration;
 /// either).
 const MAX_REQUEST_HEAD: usize = 8 << 10;
 
-/// Per-read socket timeout on an exporter connection.
+/// Budget for reading one request head: a peer that trickles its head
+/// cannot hold the one-thread exporter longer than this.
 const READ_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Spawns the exporter thread. It exits when `stop` is set *and* one
@@ -49,16 +51,17 @@ pub(crate) fn spawn(
         })
 }
 
-/// Reads one request head and answers it.
+/// Reads one request head, within [`READ_TIMEOUT`] in all, and answers
+/// it.
 fn serve_one(mut stream: TcpStream) -> std::io::Result<()> {
-    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
+    let mut reader = DeadlineReader::new(&stream, Some(READ_TIMEOUT));
     let mut head = Vec::new();
     let mut chunk = [0u8; 1024];
     while !head.windows(4).any(|w| w == b"\r\n\r\n") {
         if head.len() > MAX_REQUEST_HEAD {
             return Ok(()); // oversized head: just hang up
         }
-        match stream.read(&mut chunk) {
+        match reader.read(&mut chunk) {
             Ok(0) => return Ok(()),
             Ok(n) => head.extend_from_slice(&chunk[..n]),
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}

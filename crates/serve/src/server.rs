@@ -172,15 +172,16 @@ impl ConnTable {
 /// peer trickling one byte per poll cannot reset the clock — the whole
 /// request must arrive within the budget or the read errors out and the
 /// connection is dropped. A fresh reader is built per message, so the
-/// budget also reaps connections that go idle between requests.
-struct DeadlineReader<'a> {
+/// budget also reaps connections that go idle between requests. The
+/// metrics exporter reads each request head through one too.
+pub(crate) struct DeadlineReader<'a> {
     stream: &'a TcpStream,
     budget: Option<Duration>,
     started: Option<Instant>,
 }
 
 impl<'a> DeadlineReader<'a> {
-    fn new(stream: &'a TcpStream, budget: Option<Duration>) -> Self {
+    pub(crate) fn new(stream: &'a TcpStream, budget: Option<Duration>) -> Self {
         DeadlineReader {
             stream,
             budget,
