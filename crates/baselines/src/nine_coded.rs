@@ -8,8 +8,6 @@
 
 use crate::codec::{CodecStream, Payload, TestDataCodec};
 use ninec::encode::{Encoder, InvalidBlockSize};
-use ninec::engine::Engine;
-use ninec::{DecodeError, EncodeFrameError};
 use ninec_testdata::trit::TritVec;
 
 /// The nine-coded compression technique as a [`TestDataCodec`].
@@ -31,7 +29,6 @@ use ninec_testdata::trit::TritVec;
 #[derive(Debug, Clone)]
 pub struct NineCoded {
     encoder: Encoder,
-    parity: Option<(u8, u8)>,
 }
 
 impl NineCoded {
@@ -43,82 +40,18 @@ impl NineCoded {
     pub fn new(k: usize) -> Result<Self, InvalidBlockSize> {
         Ok(Self {
             encoder: Encoder::new(k)?,
-            parity: None,
         })
     }
 
     /// Wraps a configured encoder (custom table or case selection).
     pub fn with_encoder(encoder: Encoder) -> Self {
-        Self {
-            encoder,
-            parity: None,
-        }
-    }
-
-    /// Emits erasure-coded v3 frames: every interleaved group of `g` data
-    /// segments gets `r` GF(256) parity segments, so up to `r` lost
-    /// segments per group rebuild bit-exact at decode time. `r = 0`
-    /// disables parity (plain v2 frames, the default). The geometry is a
-    /// straight pass-through to [`Engine::parity`] — invalid values
-    /// surface as [`EncodeFrameError::Parity`] from
-    /// [`encode_frame`](NineCoded::encode_frame).
-    #[must_use]
-    pub fn parity(mut self, g: u8, r: u8) -> Self {
-        self.parity = if r == 0 { None } else { Some((g, r)) };
-        self
+        Self { encoder }
     }
 
     /// Block size `K`.
     #[must_use]
     pub fn k(&self) -> usize {
         self.encoder.k()
-    }
-
-    /// Compresses `stream` into a self-describing `9CSF` segment frame,
-    /// encoding segments concurrently on `threads` workers — the real
-    /// framed container (unlike the generic
-    /// [`TestDataCodec::encode_segmented`] path, which shards into
-    /// in-memory [`CodecStream`]s). The bytes are independent of the
-    /// thread count.
-    ///
-    /// # Errors
-    ///
-    /// [`EncodeFrameError::Frame`] when a segment overflows the `9CSF`
-    /// header's `u32` fields (a > 4 Gi-trit segment); the block size
-    /// itself was validated at construction, so
-    /// [`EncodeFrameError::InvalidBlockSize`] cannot occur here.
-    pub fn encode_frame(
-        &self,
-        stream: &TritVec,
-        threads: usize,
-        segment_bits: usize,
-    ) -> Result<Vec<u8>, EncodeFrameError> {
-        self.engine(threads, segment_bits)
-            .encode_frame(self.k(), stream)
-    }
-
-    /// Decodes a `9CSF` frame produced by
-    /// [`encode_frame`](NineCoded::encode_frame), sharding segments across
-    /// `threads` workers.
-    ///
-    /// # Errors
-    ///
-    /// Typed [`DecodeError`] on corrupt, truncated or hostile frames —
-    /// never panics.
-    pub fn decode_frame(&self, bytes: &[u8], threads: usize) -> Result<TritVec, DecodeError> {
-        self.engine(threads, ninec::engine::DEFAULT_SEGMENT_BITS)
-            .decode_frame(bytes)
-    }
-
-    fn engine(&self, threads: usize, segment_bits: usize) -> Engine {
-        let mut builder = Engine::builder()
-            .threads(threads)
-            .segment_bits(segment_bits)
-            .table(self.encoder.table().clone());
-        if let Some((g, r)) = self.parity {
-            builder = builder.parity(g, r);
-        }
-        builder.build()
     }
 }
 
@@ -155,62 +88,6 @@ mod tests {
             adapter.compression_ratio(&stream),
             direct.compression_ratio()
         );
-    }
-
-    #[test]
-    fn frame_roundtrip_is_thread_count_independent() {
-        let stream: TritVec = "0X0X0X1XX01110000000001XXXX10X0X"
-            .repeat(16)
-            .parse()
-            .unwrap();
-        let adapter = NineCoded::new(8).unwrap();
-        let serial = adapter.encode_frame(&stream, 1, 128).unwrap();
-        for threads in [2usize, 8] {
-            assert_eq!(adapter.encode_frame(&stream, threads, 128).unwrap(), serial);
-        }
-        let back = adapter.decode_frame(&serial, 4).unwrap();
-        assert_eq!(back.len(), stream.len());
-        for i in 0..stream.len() {
-            let s = stream.get(i).unwrap();
-            if s.is_care() {
-                assert_eq!(Some(s), back.get(i), "care bit {i}");
-            }
-        }
-        // Hostile bytes are typed errors, never panics.
-        assert!(adapter.decode_frame(b"garbage", 2).is_err());
-        assert!(adapter
-            .decode_frame(&serial[..serial.len() - 1], 2)
-            .is_err());
-    }
-
-    #[test]
-    fn parity_passthrough_repairs_a_lost_segment() {
-        let stream: TritVec = "0X0X0X1XX01110000000001XXXX10X0X"
-            .repeat(16)
-            .parse()
-            .unwrap();
-        let plain = NineCoded::new(8).unwrap();
-        let protected = NineCoded::new(8).unwrap().parity(2, 1);
-        let v2 = plain.encode_frame(&stream, 1, 128).unwrap();
-        let v3 = protected.encode_frame(&stream, 1, 128).unwrap();
-        assert!(v3.len() > v2.len(), "parity adds overhead");
-        let clean = protected.decode_frame(&v3, 2).unwrap();
-
-        // Corrupt one payload byte of the first data segment.
-        let mut bad = v3.clone();
-        bad[ninec::engine::frame::HEADER_BYTES_V3 + ninec::engine::frame::SEGMENT_HEADER_BYTES] ^=
-            0x55;
-        assert!(protected.decode_frame(&bad, 2).is_err(), "strict rejects");
-        let outcome = ninec::DecodeSession::new()
-            .threads(2)
-            .decode_frame(&bad, ninec::Policy::Repair)
-            .unwrap();
-        assert!(outcome.is_lossless(), "{:?}", outcome.report);
-        assert_eq!(outcome.trits, clean, "repair is bit-exact");
-
-        // `r = 0` keeps emitting plain v2 bytes.
-        let degenerate = NineCoded::new(8).unwrap().parity(4, 0);
-        assert_eq!(degenerate.encode_frame(&stream, 1, 128).unwrap(), v2);
     }
 
     #[test]

@@ -197,13 +197,6 @@ impl Client {
         })
     }
 
-    /// Caps how large a single response this client will buffer.
-    #[must_use]
-    pub fn max_message_bytes(mut self, max: usize) -> Self {
-        self.max_message_bytes = max;
-        self
-    }
-
     /// Changes the per-request deadline budget. Takes effect on the next
     /// request; negotiation still happens at [`hello`](Client::hello),
     /// so setting a deadline on a connection that never negotiated the
