@@ -62,6 +62,11 @@ for f in crates/core/src/engine/frame.rs crates/core/src/engine/crc.rs \
     fi
 done
 
+# Code size, for information: the counts use the guard's cut above, and
+# no bound is checked on them.
+echo "==> line counts (scripts/loc.sh)"
+./scripts/loc.sh
+
 echo "==> cargo build --release"
 cargo build --release
 
