@@ -718,7 +718,16 @@ impl<'a, S: BitSink> StreamEncoder<'a, S> {
     /// Also publishes the tally into the global [`ninec_obs`] registry
     /// (one batched flush per run — the per-block hot loop never touches
     /// an atomic); a no-op while runtime telemetry is off.
-    pub fn finish(mut self) -> EncodeTotals {
+    pub fn finish(self) -> EncodeTotals {
+        let (table, k) = (&self.encoder.table, self.encoder.k);
+        let totals = self.finish_unpublished();
+        crate::metrics::publish_encode(&totals.stats, totals.source_len, table, k);
+        totals
+    }
+
+    /// [`finish`](Self::finish) without publishing: for sizing passes,
+    /// which encode nothing the caller keeps.
+    pub(crate) fn finish_unpublished(mut self) -> EncodeTotals {
         if !self.pending.is_empty() {
             let pending = std::mem::take(&mut self.pending);
             let block = pending.as_slice();
@@ -731,12 +740,6 @@ impl<'a, S: BitSink> StreamEncoder<'a, S> {
             }
             self.out.flush(self.sink);
         }
-        crate::metrics::publish_encode(
-            &self.stats,
-            self.source_len,
-            &self.encoder.table,
-            self.encoder.k,
-        );
         EncodeTotals {
             stats: self.stats,
             source_len: self.source_len,

@@ -377,7 +377,12 @@ impl Engine {
         let parts: Vec<(TritVec, EncodeTotals)> =
             exec::map_indexed(self.threads, ranges.len(), |i| {
                 let (start, end) = ranges[i];
-                encode_segment(&encoder, stream, start, end)
+                let t0 = ninec_obs::runtime_enabled().then(std::time::Instant::now);
+                let part = encode_segment(&encoder, stream, start, end);
+                if let Some(t0) = t0 {
+                    crate::metrics::publish_segment_encode(t0.elapsed().as_nanos() as u64);
+                }
+                part
             });
         // Deterministic merge: segment order is source order.
         let mut out = TritVec::with_capacity(parts.iter().map(|(s, _)| s.len()).sum());
@@ -454,7 +459,7 @@ impl Engine {
                         let mut counter = BitCounter::default();
                         let mut se = enc.stream_encoder(&mut counter);
                         se.feed(stream.slice_view(start, end));
-                        se.finish();
+                        se.finish_unpublished();
                         (counter.bits(), enc.k())
                     })
                     .expect("candidate list verified non-empty above")
@@ -617,22 +622,17 @@ impl Engine {
     }
 }
 
-/// Encodes one `[start, end)` segment of `stream` with `enc`, recording
-/// the segment-latency histogram sample (batched, once per segment).
+/// Encodes one `[start, end)` segment of `stream` with `enc`.
 fn encode_segment(
     enc: &Encoder,
     stream: &TritVec,
     start: usize,
     end: usize,
 ) -> (TritVec, EncodeTotals) {
-    let t0 = ninec_obs::runtime_enabled().then(std::time::Instant::now);
     let mut out = TritVec::with_capacity((end - start) / 4 + 8);
     let mut se = enc.stream_encoder(&mut out);
     se.feed(stream.slice_view(start, end));
     let totals = se.finish();
-    if let Some(t0) = t0 {
-        crate::metrics::publish_segment_encode(t0.elapsed().as_nanos() as u64);
-    }
     (out, totals)
 }
 

@@ -258,3 +258,43 @@ fn decode_counters_count_runs_blocks_bits_and_symbols() {
         );
     }
 }
+
+/// One `encode_frame` records one `ninec.engine.segment.encode_ns`
+/// sample per data segment, and publishes only the encodes the frame
+/// keeps: a best-K frame's `ninec.encode.blocks` gain is its chosen
+/// segments' blocks, not its sizing passes' too.
+#[test]
+fn encode_frame_publishes_only_the_encodes_it_keeps() {
+    let _registry = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
+    let set = SyntheticProfile::new("encodes", 40, 250, 0.8).generate(3);
+    let samples = || ninec_obs::histogram(metrics::ENGINE_SEG_ENCODE_NS).count();
+    let blocks = || ninec_obs::counter(metrics::ENCODE_BLOCKS).get();
+    for threads in [1usize, 3] {
+        let engine = Engine::builder()
+            .threads(threads)
+            .segment_bits(256)
+            .parity(4, 1)
+            .build();
+        for candidates in [&[8usize][..], &[8, 16, 32]] {
+            let before = (samples(), blocks());
+            let frame = engine
+                .encode_frame_best_k(candidates, set.as_stream())
+                .expect("frame encodes");
+            let delta = (samples() - before.0, blocks() - before.1);
+            let plan = engine.build_plan(&frame).expect("clean frame plans");
+            let (mut data, mut chosen_blocks) = (0u64, 0u64);
+            for entry in plan.entries() {
+                if let PlanEntry::Data { seg, .. } = entry {
+                    data += 1;
+                    chosen_blocks += seg.source_trits.div_ceil(seg.k) as u64;
+                }
+            }
+            assert!(data > 2, "the frame must span several segments");
+            assert_eq!(
+                delta,
+                (data, chosen_blocks),
+                "threads={threads} candidates={candidates:?}: [samples, blocks]"
+            );
+        }
+    }
+}
