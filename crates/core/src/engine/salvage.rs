@@ -365,10 +365,6 @@ pub(crate) fn execute(
         }
     }
     crate::metrics::publish_count(crate::metrics::ECC_REPAIR_FAILURES, repair_failures);
-    crate::metrics::publish_count(
-        crate::metrics::ECC_REPAIRED_SEGMENTS,
-        rebuilt.iter().flatten().count() as u64,
-    );
 
     // Trusted lengths: intact + rebuilt segments. Untrusted: the
     // unrepaired damaged entries' claims, which share the rest.
@@ -527,6 +523,13 @@ pub(crate) fn execute(
     }
     crate::metrics::publish_count(crate::metrics::ENGINE_WORKER_PANICS, panics);
     crate::metrics::publish_count(crate::metrics::ENGINE_CANCELLED_JOBS, cancelled);
+    crate::metrics::publish_count(
+        crate::metrics::ECC_REPAIRED_SEGMENTS,
+        damaged
+            .iter()
+            .filter(|d| matches!(d.reason, DamageReason::RepairedBy { .. }))
+            .count() as u64,
+    );
     if !damaged.is_empty() {
         crate::metrics::publish_count(crate::metrics::ENGINE_SALVAGED_SEGMENTS, recovered as u64);
         // A partial salvage is a flush trigger: make sure this thread's

@@ -130,8 +130,11 @@ pub fn publish_resync(probes: usize, crc_bytes: usize) {
 }
 
 /// Counter: damaged segments rebuilt byte-exactly by GF(256) erasure
-/// repair (frame v3 parity groups) and accepted after re-CRC, once per
-/// repair run (nothing recorded when no repair happened).
+/// repair (frame v3 parity groups) that the repair report keeps, i.e.
+/// its [`DamageReason::RepairedBy`](crate::engine::DamageReason::RepairedBy)
+/// entries; a rebuild that is then erased (it overshoots the header's
+/// source-length total, or fails to decode) does not count. Once per
+/// repair run, nothing recorded when no repair happened.
 pub const ECC_REPAIRED_SEGMENTS: &str = "ninec.ecc.repaired_segments";
 /// Counter: parity bits emitted by v3 frame encodes (parity segment
 /// headers + shard payloads, in bits).

@@ -298,3 +298,54 @@ fn encode_frame_publishes_only_the_encodes_it_keeps() {
         }
     }
 }
+
+/// `ninec.ecc.repaired_segments` counts the segments a repair report
+/// keeps as repaired: a rebuild past the header's source-length total is
+/// erased and does not count, a kept one does.
+#[test]
+fn repaired_segments_counts_the_reports_repairs() {
+    let _registry = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
+    let repaired = || ninec_obs::counter(metrics::ECC_REPAIRED_SEGMENTS).get();
+    let set = SyntheticProfile::new("rung", 10, 80, 0.72).generate(3);
+    let stream = set.as_stream();
+    let engine = Engine::builder()
+        .threads(1)
+        .segment_bits(64)
+        .parity(2, 1)
+        .build();
+    let frame = engine.encode_frame(8, stream).expect("frame encodes");
+    let data_range = |bytes: &[u8], i: usize| {
+        engine.build_plan(bytes).expect("frame plans").entries()[i].byte_range()
+    };
+    // `bytes` with the first payload byte of data segment `i` flipped.
+    let flip = |bytes: &[u8], i: usize| damage(bytes, &[data_range(bytes, i)], &[0]);
+
+    // One damaged data segment: rebuilt and kept.
+    let bad = flip(&frame, 3);
+    let before = repaired();
+    let report = engine
+        .build_plan(&bad)
+        .and_then(|plan| engine.execute_plan(&plan, Policy::Repair))
+        .expect("repair rung runs");
+    assert_eq!(report.repaired_segments(), 1);
+    assert_eq!(repaired() - before, 1, "one kept rebuild");
+
+    // Data segment 0 swapped for a CRC-valid 128-trit segment, so the
+    // rebuild of damaged segment 12 has no trits left to cover.
+    let wide = Engine::builder()
+        .threads(1)
+        .segment_bits(128)
+        .build()
+        .encode_frame(8, stream)
+        .expect("frame encodes");
+    let (seg0, wide0) = (data_range(&frame, 0), data_range(&wide, 0));
+    let spliced = [&frame[..seg0.start], &wide[wide0], &frame[seg0.end..]].concat();
+    let bad = flip(&spliced, 12);
+    let before = repaired();
+    let report = engine
+        .build_plan(&bad)
+        .and_then(|plan| engine.execute_plan(&plan, Policy::Repair))
+        .expect("repair rung runs");
+    assert_eq!(report.repaired_segments(), 0);
+    assert_eq!(repaired() - before, 0, "an erased rebuild");
+}
