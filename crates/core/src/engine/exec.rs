@@ -42,8 +42,10 @@
 //! job runs inside a flight-recorder `"job"` span stamped with the
 //! worker id and the job's priority class — the Fig 4c load imbalance as
 //! a reconstructable timeline. Spawned workers inherit the submitting
-//! thread's trace context, and a caught panic flushes the worker's ring
-//! into the global recorder before the poisoned slot is reported.
+//! thread's trace context and flush their ring into the global recorder
+//! at the end of their job loop, so a call's events are all there when
+//! it returns; a caught panic flushes the worker's ring before the
+//! poisoned slot is reported.
 
 use super::cancel::CancelToken;
 use std::fmt;
@@ -272,6 +274,10 @@ where
                 ninec_obs::set_trace_context(trace_ctx.0, trace_ctx.1);
                 let _ = ninec_obs::set_trace_worker(w as u32);
                 worker(w);
+                // The scope's join sees the closure end, not the thread
+                // exit whose TLS destructor would flush: flush here, so
+                // the events are in the global ring when the call returns.
+                ninec_obs::flush_thread_trace();
             });
         }
         // The calling thread is worker 0; its own worker id is restored

@@ -743,9 +743,10 @@ impl Drop for TraceScope {
 }
 
 /// Drains the calling thread's ring into the global one. Called
-/// automatically on thread exit and by the engine on decode errors,
-/// worker panics and partial salvage, so the recorder holds the
-/// interesting tail when something goes wrong.
+/// automatically on thread exit, by each spawned engine worker at the
+/// end of its job loop, and by the engine on decode errors, worker
+/// panics and partial salvage, so the recorder holds the interesting
+/// tail when something goes wrong.
 pub fn flush_thread_trace() {
     LOCAL_TRACE.with(|l| {
         let mut local = l.0.borrow_mut();

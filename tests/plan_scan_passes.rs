@@ -6,7 +6,9 @@
 //! and limit rejections each tick by exactly what their input earns,
 //! `ninec.engine.segments` by the jobs the executor ran, and the
 //! `ninec.decode.*` counters by the segments, blocks and trits a clean
-//! decode moved.
+//! decode moved. Further tests pin what `encode_frame` publishes, what
+//! `ninec.ecc.repaired_segments` counts, and that a multi-threaded
+//! decode's trace events are all recorded when it returns.
 //!
 //! The [`ninec_obs`] registry is process global, so this file is its own
 //! integration-test binary and its tests take [`REGISTRY`] in turn: no
@@ -348,4 +350,61 @@ fn repaired_segments_counts_the_reports_repairs() {
         .expect("repair rung runs");
     assert_eq!(report.repaired_segments(), 0);
     assert_eq!(repaired() - before, 0, "an erased rebuild");
+}
+
+/// A spawned executor worker's trace events reach the global recorder
+/// before the decode returns: the same audited 3-thread repair records
+/// the same number of events every time, and its audit names the worker
+/// of every segment it decoded.
+#[test]
+fn worker_trace_events_land_before_the_decode_returns() {
+    let _registry = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
+    let set = SyntheticProfile::new("flush", 40, 250, 0.8).generate(5);
+    let engine = Engine::builder()
+        .threads(3)
+        .segment_bits(256)
+        .parity(4, 1)
+        .build();
+    let clean = engine
+        .encode_frame(8, set.as_stream())
+        .expect("frame encodes");
+    let data: Vec<_> = engine
+        .build_plan(&clean)
+        .expect("clean frame plans")
+        .entries()
+        .iter()
+        .filter_map(|e| match e {
+            PlanEntry::Data { byte_range, .. } => Some(byte_range.clone()),
+            _ => None,
+        })
+        .collect();
+    let bad = damage(&clean, &data, &[0, 5, 13]);
+    let session = DecodeSession::new().threads(3).audit(true);
+    let mut counts = Vec::new();
+    for _ in 0..30 {
+        let outcome = session
+            .decode_frame(&bad, Policy::Repair)
+            .expect("file headers intact");
+        let audit = outcome.audit.expect("audited decode");
+        counts.push(
+            ninec_obs::snapshot_trace()
+                .iter()
+                .filter(|e| e.trace == audit.trace)
+                .count(),
+        );
+        let unattributed: Vec<usize> = audit
+            .segments
+            .iter()
+            .filter(|s| s.rung.label() != "salvaged" && s.worker.is_none())
+            .map(|s| s.index)
+            .collect();
+        assert!(
+            unattributed.is_empty(),
+            "decoded segments without a worker: {unattributed:?}"
+        );
+    }
+    assert!(
+        counts.iter().all(|&c| c == counts[0]),
+        "events per decode: {counts:?}"
+    );
 }
