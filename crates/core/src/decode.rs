@@ -14,6 +14,7 @@
 use crate::code::{CodeTable, HalfSpec, ALL_CASES};
 use crate::encode::InvalidBlockSize;
 use crate::engine::frame::FrameError;
+use crate::metrics::DecodeRun;
 use crate::stream::{low_bits, BitSink, WordIn, WordOut};
 use ninec_testdata::slice::TritSlice;
 use std::borrow::Cow;
@@ -367,6 +368,28 @@ impl<'a> StreamDecoder<'a> {
         self.decode_blocks(out, u64::MAX).map(|_| ())
     }
 
+    /// [`run_into`](Self::run_into) that hands the run's tally back
+    /// instead of publishing it when dropped, also when the decode fails
+    /// part-way: how a segment job returns its telemetry with its output.
+    pub(crate) fn run_tallied<O: BitSink>(
+        mut self,
+        out: &mut O,
+    ) -> (Result<(), DecodeError>, DecodeRun) {
+        let result = self.decode_blocks(out, u64::MAX).map(|_| ());
+        (result, self.take_run())
+    }
+
+    /// The run so far, leaving nothing for the drop flush to publish.
+    fn take_run(&mut self) -> DecodeRun {
+        let run = DecodeRun {
+            blocks: self.blocks,
+            bits_in: self.pos as u64,
+            symbols_out: self.produced() as u64,
+        };
+        self.blocks = 0;
+        run
+    }
+
     /// Decodes up to `limit` blocks into `out` and returns the symbols
     /// emitted; the output is flushed to `out` before an `Ok` return.
     fn decode_blocks<O: BitSink>(&mut self, out: &mut O, limit: u64) -> Result<usize, DecodeError> {
@@ -455,7 +478,8 @@ impl Drop for StreamDecoder<'_> {
     /// never emitted a block and while runtime telemetry is off.
     fn drop(&mut self) {
         if self.blocks > 0 {
-            crate::metrics::publish_decode(self.blocks, self.pos as u64, self.produced() as u64);
+            let run = self.take_run();
+            crate::metrics::publish_decode(run.blocks, run.bits_in, run.symbols_out);
         }
     }
 }

@@ -318,7 +318,7 @@ impl Encoder {
     /// one step; for `K > 64` each half is classified in `O(K/64)` word
     /// operations. Nothing is allocated per block.
     pub fn encode_stream(&self, stream: &TritVec) -> Encoded {
-        let _span = ninec_obs::span("encode_stream");
+        let _span = ninec_obs::catalogue::SPAN_ENCODE_STREAM.start();
         let t0 = ninec_obs::runtime_enabled().then(std::time::Instant::now);
         let mut out = TritVec::with_capacity(stream.len() / 4 + 8);
         let mut enc = self.stream_encoder(&mut out);
@@ -343,7 +343,7 @@ impl Encoder {
     where
         I: IntoIterator<Item = TritSlice<'a>>,
     {
-        let _span = ninec_obs::span("encode_chunked");
+        let _span = ninec_obs::catalogue::SPAN_ENCODE_CHUNKED.start();
         let t0 = ninec_obs::runtime_enabled().then(std::time::Instant::now);
         let mut out = TritVec::new();
         let mut enc = self.stream_encoder(&mut out);

@@ -753,7 +753,7 @@ impl Archive {
     /// is committed); [`ArchiveError::TornAppend`] when an armed `arc`
     /// fault point killed the write; [`ArchiveError::Io`] otherwise.
     pub fn append_frame(&mut self, frame_bytes: &[u8]) -> Result<AppendReceipt, ArchiveError> {
-        let _span = ninec_obs::span("archive_append");
+        let _span = ninec_obs::catalogue::SPAN_ARCHIVE_APPEND.start();
         // The blob ranges and the accept/reject verdict both come from a
         // fail-fast plan: what strict decode would reject never commits.
         let plan = plan::build(frame_bytes, &self.engine.limits, plan::BuildMode::FailFast)?;
@@ -901,7 +901,7 @@ impl Archive {
                 cands.push((b.offset, b.len));
             }
         }
-        crate::metrics::publish_count(crate::metrics::ARCHIVE_DEDUP_HITS, dedup_hits);
+        crate::metrics::publish_count(ninec_obs::catalogue::ARCHIVE_DEDUP_HITS, dedup_hits);
         Ok(AppendReceipt {
             frame: self.index.frames.len() - 1,
             segments: n + p,
@@ -992,7 +992,7 @@ impl Archive {
         start: usize,
         len: usize,
     ) -> Result<TritVec, ArchiveError> {
-        let _span = ninec_obs::span("archive_range_decode");
+        let _span = ninec_obs::catalogue::SPAN_ARCHIVE_RANGE_DECODE.start();
         let fr = self
             .index
             .frames

@@ -37,8 +37,10 @@
 //!
 //! Telemetry (batched at job boundaries, never inside a job): each
 //! worker, the caller included, publishes its completion and busy-time
-//! tallies once at exit (`ninec.engine.segments`,
-//! `ninec.engine.worker.<i>.busy_ns`). On top of the aggregates, every
+//! tallies once, at the end of its job loop (`ninec.engine.segments`,
+//! `ninec.engine.worker.<i>.busy_ns`, through handles resolved once per
+//! worker index). Jobs publish nothing: each returns its own tallies with
+//! its result, and the calling code publishes their sums once. On top of the aggregates, every
 //! job runs inside a flight-recorder `"job"` span stamped with the
 //! worker id and the job's priority class — the Fig 4c load imbalance as
 //! a reconstructable timeline. Spawned workers inherit the submitting
@@ -53,10 +55,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-/// Upper bound on worker threads — keeps the per-worker `busy_ns`
-/// counter family bounded and guards against absurd `NINEC_THREADS`
+/// Upper bound on worker threads — one per cell of the per-worker
+/// `busy_ns` counter family, and a guard against absurd `NINEC_THREADS`
 /// values.
-pub const MAX_THREADS: usize = 256;
+pub const MAX_THREADS: usize = ninec_obs::catalogue::MAX_WORKERS;
 
 /// Jobs admitted to any in-flight [`run_cancellable`] call, process-wide.
 static ACTIVE_JOBS: AtomicUsize = AtomicUsize::new(0);
@@ -261,8 +263,7 @@ where
             let _ = slots[job].set(out);
             done += 1;
         }
-        crate::metrics::publish_count(crate::metrics::ENGINE_SEGMENTS, done);
-        crate::metrics::publish_worker_busy(w, busy);
+        crate::metrics::publish_worker(w, done, busy);
     };
     let workers = threads.clamp(1, MAX_THREADS).min(jobs.max(1));
     // Spawned workers record onto the submitting thread's trace, nested

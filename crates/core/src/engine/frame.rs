@@ -954,10 +954,10 @@ pub(crate) fn is_whole_segment(blob: &[u8], parity: bool, limits: &DecodeLimits)
 pub(crate) fn publish_failure_metrics(e: &FrameError) {
     match e {
         FrameError::BadCrc { .. } | FrameError::BadHeaderCrc => {
-            crate::metrics::publish_count(crate::metrics::FRAME_CRC_FAILURES, 1);
+            crate::metrics::publish_count(ninec_obs::catalogue::FRAME_CRC_FAILURES, 1);
         }
         FrameError::LimitExceeded { .. } => {
-            crate::metrics::publish_count(crate::metrics::FRAME_LIMIT_REJECTIONS, 1);
+            crate::metrics::publish_count(ninec_obs::catalogue::FRAME_LIMIT_REJECTIONS, 1);
         }
         _ => {}
     }

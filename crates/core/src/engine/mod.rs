@@ -88,7 +88,10 @@ pub type SharedEngine = std::sync::Arc<Engine>;
 use crate::code::CodeTable;
 use crate::decode::{DecodeError, DecodeTable, StreamDecoder};
 use crate::encode::{EncodeStats, EncodeTotals, Encoded, Encoder, InvalidBlockSize};
+use crate::metrics::{DecodeRun, DecodeTally, EncodeTally};
 use crate::stream::BitCounter;
+use ninec_obs::catalogue;
+use ninec_obs::SampleBatch;
 use ninec_testdata::trit::{Trit, TritVec};
 use std::borrow::Cow;
 use std::fmt;
@@ -370,27 +373,27 @@ impl Engine {
     ///
     /// [`InvalidBlockSize`] unless `k` is even and at least 4.
     pub fn encode(&self, k: usize, stream: &TritVec) -> Result<Encoded, InvalidBlockSize> {
-        let _span = ninec_obs::span("engine_encode");
+        let _span = catalogue::SPAN_ENGINE_ENCODE.start();
         let encoder = Encoder::with_table(k, self.table.clone())?;
         let t0 = ninec_obs::runtime_enabled().then(std::time::Instant::now);
         let ranges = Self::segment_ranges(stream.len(), self.segment_len(k));
-        let parts: Vec<(TritVec, EncodeTotals)> =
-            exec::map_indexed(self.threads, ranges.len(), |i| {
-                let (start, end) = ranges[i];
-                let t0 = ninec_obs::runtime_enabled().then(std::time::Instant::now);
-                let part = encode_segment(&encoder, stream, start, end);
-                if let Some(t0) = t0 {
-                    crate::metrics::publish_segment_encode(t0.elapsed().as_nanos() as u64);
-                }
-                part
-            });
+        let parts: Vec<SegmentEncode> = exec::map_indexed(self.threads, ranges.len(), |i| {
+            let (start, end) = ranges[i];
+            let t0 = ninec_obs::runtime_enabled().then(std::time::Instant::now);
+            encode_segment(&encoder, stream, start, end, t0)
+        });
         // Deterministic merge: segment order is source order.
-        let mut out = TritVec::with_capacity(parts.iter().map(|(s, _)| s.len()).sum());
+        let mut out = TritVec::with_capacity(parts.iter().map(|p| p.stream.len()).sum());
         let mut stats = EncodeStats::default();
-        for (seg_stream, totals) in &parts {
-            out.extend_from_tritvec(seg_stream);
-            merge_stats(&mut stats, &totals.stats);
+        let mut tally = EncodeTally::default();
+        let mut encode_ns = SampleBatch::default();
+        for part in &parts {
+            out.extend_from_tritvec(&part.stream);
+            merge_stats(&mut stats, &part.totals.stats);
+            part.tally_into(&encoder, &mut tally, &mut encode_ns);
         }
+        tally.publish();
+        crate::metrics::publish_samples(catalogue::ENGINE_SEG_ENCODE_NS, &encode_ns);
         if let Some(t0) = t0 {
             crate::metrics::publish_encode_throughput(stream.len(), t0.elapsed().as_secs_f64());
         }
@@ -436,7 +439,7 @@ impl Engine {
         candidates: &[usize],
         stream: &TritVec,
     ) -> Result<Vec<u8>, EncodeFrameError> {
-        let _span = ninec_obs::span("engine_encode_frame");
+        let _span = catalogue::SPAN_ENGINE_ENCODE_FRAME.start();
         let Some(&first) = candidates.first() else {
             return Err(InvalidBlockSize { k: 0 }.into());
         };
@@ -445,31 +448,40 @@ impl Engine {
             .map(|&k| Encoder::with_table(k, self.table.clone()))
             .collect::<Result<Vec<_>, _>>()?;
         let ranges = Self::segment_ranges(stream.len(), self.segment_len(first));
-        let parts: Vec<(usize, TritVec)> = exec::map_indexed(self.threads, ranges.len(), |i| {
-            let (start, end) = ranges[i];
-            let t0 = ninec_obs::runtime_enabled().then(std::time::Instant::now);
-            let enc = if encoders.len() == 1 {
-                &encoders[0]
-            } else {
-                // Counting pass per candidate; deterministic tie-break on
-                // (size, K).
-                encoders
-                    .iter()
-                    .min_by_key(|enc| {
-                        let mut counter = BitCounter::default();
-                        let mut se = enc.stream_encoder(&mut counter);
-                        se.feed(stream.slice_view(start, end));
-                        se.finish_unpublished();
-                        (counter.bits(), enc.k())
-                    })
-                    .expect("candidate list verified non-empty above")
-            };
-            let (seg_stream, _totals) = encode_segment(enc, stream, start, end);
-            if let Some(t0) = t0 {
-                crate::metrics::publish_segment_encode(t0.elapsed().as_nanos() as u64);
-            }
-            (enc.k(), seg_stream)
-        });
+        // Each job returns its chosen encoder's index with its segment.
+        let parts: Vec<(usize, SegmentEncode)> =
+            exec::map_indexed(self.threads, ranges.len(), |i| {
+                let (start, end) = ranges[i];
+                let t0 = ninec_obs::runtime_enabled().then(std::time::Instant::now);
+                let chosen = if encoders.len() == 1 {
+                    0
+                } else {
+                    // Counting pass per candidate, publishing nothing;
+                    // deterministic tie-break on (size, K).
+                    (0..encoders.len())
+                        .min_by_key(|&c| {
+                            let enc = &encoders[c];
+                            let mut counter = BitCounter::default();
+                            let mut se = enc.stream_encoder(&mut counter);
+                            se.feed(stream.slice_view(start, end));
+                            se.finish_unpublished();
+                            (counter.bits(), enc.k())
+                        })
+                        .expect("candidate list verified non-empty above")
+                };
+                // The job's one latency sample covers its sizing passes.
+                (
+                    chosen,
+                    encode_segment(&encoders[chosen], stream, start, end, t0),
+                )
+            });
+        let mut tally = EncodeTally::default();
+        let mut encode_ns = SampleBatch::default();
+        for (chosen, part) in &parts {
+            part.tally_into(&encoders[*chosen], &mut tally, &mut encode_ns);
+        }
+        tally.publish();
+        crate::metrics::publish_samples(catalogue::ENGINE_SEG_ENCODE_NS, &encode_ns);
         let mut out = Vec::new();
         let segment_count = u32::try_from(ranges.len()).map_err(|_| {
             EncodeFrameError::Frame(FrameError::SegmentTooLarge {
@@ -502,10 +514,10 @@ impl Engine {
             ),
         }
         let mut seg_spans: Vec<std::ops::Range<usize>> = Vec::with_capacity(parts.len());
-        for (i, (k, seg_stream)) in parts.iter().enumerate() {
+        for (i, (chosen, part)) in parts.iter().enumerate() {
             let (start, end) = ranges[i];
             let at = out.len();
-            frame::write_segment(&mut out, *k, end - start, seg_stream)?;
+            frame::write_segment(&mut out, encoders[*chosen].k(), end - start, &part.stream)?;
             seg_spans.push(at..out.len());
         }
         if let (Some(coder), Some((g, _r))) = (coder, self.parity) {
@@ -530,7 +542,7 @@ impl Engine {
                 frame::write_parity_segment(&mut out, *q, *j, shard)?;
             }
             crate::metrics::publish_count(
-                crate::metrics::ECC_PARITY_BITS,
+                catalogue::ECC_PARITY_BITS,
                 ((out.len() - parity_start) * 8) as u64,
             );
         }
@@ -561,7 +573,7 @@ impl Engine {
     /// and [`execute_plan`](Engine::execute_plan) at [`Policy::Repair`]
     /// or [`Policy::Salvage`].
     pub fn decode_frame(&self, bytes: &[u8]) -> Result<TritVec, DecodeError> {
-        let _span = ninec_obs::span("engine_decode_frame");
+        let _span = catalogue::SPAN_ENGINE_DECODE_FRAME.start();
         // One fail-fast plan build (a single header/CRC scan pass) pins
         // the strict verdict; execution only decodes `Data` entries.
         let built = plan::build(bytes, &self.limits, plan::BuildMode::FailFast)
@@ -571,7 +583,8 @@ impl Engine {
 
     /// Decodes one parsed segment, attributed to index `i`, under its
     /// `segment_decode` span — the one segment job of every decode:
-    /// strict, repair, salvage and streaming.
+    /// strict, repair, salvage and streaming. The job publishes nothing:
+    /// its decoder run and latency sample come back with its output.
     /// Armed [`faultpoint`]s fire here (panic/delay before the work,
     /// corrupt after), which is what makes worker panics and torn writes
     /// deterministically injectable.
@@ -580,7 +593,7 @@ impl Engine {
         seg: &frame::ParsedSegment<'_>,
         i: usize,
         table: &DecodeTable,
-    ) -> Result<TritVec, DecodeError> {
+    ) -> SegmentDecode {
         let _seg_span = ninec_obs::trace_span_scope(
             "segment_decode",
             u32::try_from(i).unwrap_or(u32::MAX),
@@ -595,15 +608,28 @@ impl Engine {
             _ => {}
         }
         let t0 = ninec_obs::runtime_enabled().then(std::time::Instant::now);
-        let payload = frame::unpack_payload(seg, i)?;
-        let mut out = TritVec::with_capacity(seg.source_trits);
-        StreamDecoder::with_table(
-            payload.as_slice(),
-            seg.k,
-            Cow::Borrowed(table),
-            seg.source_trits,
-        )?
-        .run_into(&mut out)?;
+        let mut run = DecodeRun::default();
+        let trits = (|| {
+            let payload = frame::unpack_payload(seg, i)?;
+            let mut out = TritVec::with_capacity(seg.source_trits);
+            let decoder = StreamDecoder::with_table(
+                payload.as_slice(),
+                seg.k,
+                Cow::Borrowed(table),
+                seg.source_trits,
+            )?;
+            let result;
+            (result, run) = decoder.run_tallied(&mut out);
+            result?;
+            Ok(out)
+        })();
+        let Ok(mut out) = trits else {
+            return SegmentDecode {
+                trits,
+                run,
+                nanos: None,
+            };
+        };
         if matches!(fault, Some(faultpoint::Action::Corrupt)) {
             // Torn write: flip the first decoded trit after the CRC and
             // the 9C decode both passed.
@@ -615,25 +641,80 @@ impl Engine {
                 out.set(0, flipped);
             }
         }
-        if let Some(t0) = t0 {
-            crate::metrics::publish_segment_decode(t0.elapsed().as_nanos() as u64);
+        SegmentDecode {
+            trits: Ok(out),
+            run,
+            nanos: t0.map(|t0| t0.elapsed().as_nanos() as u64),
         }
-        Ok(out)
     }
 }
 
-/// Encodes one `[start, end)` segment of `stream` with `enc`.
+/// One segment decode job's result: its output, and the telemetry the
+/// call publishes once for all its jobs.
+#[derive(Debug, Clone)]
+pub(crate) struct SegmentDecode {
+    /// The decoded trits, or why the segment failed.
+    pub(crate) trits: Result<TritVec, DecodeError>,
+    /// The decoder's run, also when it failed part-way.
+    pub(crate) run: DecodeRun,
+    /// Latency sample of a successful decode; `None` on failure or with
+    /// telemetry off.
+    pub(crate) nanos: Option<u64>,
+}
+
+impl SegmentDecode {
+    /// Adds this job's telemetry to its call's tally.
+    pub(crate) fn tally_into(&self, tally: &mut DecodeTally) {
+        tally.add_run(self.run);
+        if let Some(nanos) = self.nanos {
+            tally.add_latency(nanos);
+        }
+    }
+}
+
+/// One segment encode job's result: its stream, its totals and its
+/// latency sample (`None` with telemetry off).
+#[derive(Debug)]
+struct SegmentEncode {
+    stream: TritVec,
+    totals: EncodeTotals,
+    nanos: Option<u64>,
+}
+
+impl SegmentEncode {
+    /// Adds this job's telemetry, encoded with `enc`, to its call's
+    /// tally and latency samples.
+    fn tally_into(&self, enc: &Encoder, tally: &mut EncodeTally, encode_ns: &mut SampleBatch) {
+        tally.add(
+            &self.totals.stats,
+            self.totals.source_len,
+            enc.table(),
+            enc.k(),
+        );
+        if let Some(nanos) = self.nanos {
+            encode_ns.add(nanos);
+        }
+    }
+}
+
+/// Encodes one `[start, end)` segment of `stream` with `enc`, publishing
+/// nothing; its latency sample runs from `t0`, when its job started.
 fn encode_segment(
     enc: &Encoder,
     stream: &TritVec,
     start: usize,
     end: usize,
-) -> (TritVec, EncodeTotals) {
+    t0: Option<std::time::Instant>,
+) -> SegmentEncode {
     let mut out = TritVec::with_capacity((end - start) / 4 + 8);
     let mut se = enc.stream_encoder(&mut out);
     se.feed(stream.slice_view(start, end));
-    let totals = se.finish();
-    (out, totals)
+    let totals = se.finish_unpublished();
+    SegmentEncode {
+        stream: out,
+        totals,
+        nanos: t0.map(|t0| t0.elapsed().as_nanos() as u64),
+    }
 }
 
 /// Accumulates `part` into `acc` (case counts, blocks, bits, leftover X).

@@ -46,7 +46,9 @@ use crate::engine::frame::{
     self, DamageReason, DecodeLimits, FrameError, ParsedParity, ParsedSegment, Resync,
     StreamHeader, SEGMENT_HEADER_BYTES,
 };
-use crate::engine::{cancel, Engine, SalvageReport};
+use crate::engine::{cancel, Engine, SalvageReport, SegmentDecode};
+use crate::metrics::DecodeTally;
+use ninec_obs::catalogue;
 use ninec_testdata::trit::TritVec;
 use std::ops::Range;
 
@@ -695,7 +697,7 @@ impl Walker {
         if self.walk_budget.saturating_add(add) > self.limits.max_total_alloc {
             // Too expensive to decode — classified, not charged.
             if self.mode == BuildMode::Full {
-                crate::metrics::publish_count(crate::metrics::FRAME_LIMIT_REJECTIONS, 1);
+                crate::metrics::publish_count(catalogue::FRAME_LIMIT_REJECTIONS, 1);
                 ninec_obs::trace_instant(
                     "over_budget",
                     u32::try_from(self.index).unwrap_or(u32::MAX),
@@ -842,7 +844,7 @@ pub(crate) fn build<'a>(
             return Err(e);
         }
     };
-    crate::metrics::publish_count(crate::metrics::FRAME_SCAN_PASSES, 1);
+    crate::metrics::publish_count(catalogue::FRAME_SCAN_PASSES, 1);
     let mut walker = Walker::new(&head, limits, mode);
     // Shared by every resync of this walk, so each byte enters it once.
     let mut crc = PrefixCrc::default();
@@ -883,7 +885,7 @@ pub(crate) fn decode_segments(
     segs: &[(usize, ParsedSegment<'_>)],
     table: &DecodeTable,
     cancel: Option<&cancel::CancelToken>,
-) -> Vec<JobOutcome<Result<TritVec, DecodeError>>> {
+) -> Vec<JobOutcome<SegmentDecode>> {
     exec::run_cancellable(
         engine.threads(),
         segs.len(),
@@ -895,13 +897,15 @@ pub(crate) fn decode_segments(
 
 /// Strict decode of `segs` (see [`decode_segments`]), appended in order to
 /// `out` — or the strict failure: a tripped `cancel` token first, then the
-/// first segment error or worker panic in order.
+/// first segment error or worker panic in order. The jobs' telemetry
+/// goes into `tally`, which the caller publishes.
 pub(crate) fn decode_strict(
     engine: &Engine,
     segs: &[(usize, ParsedSegment<'_>)],
     table: &DecodeTable,
     cancel: Option<&cancel::CancelToken>,
     out: &mut TritVec,
+    tally: &mut DecodeTally,
 ) -> Result<(), DecodeError> {
     let results = decode_segments(engine, segs, table, cancel);
     let mut parts = Vec::with_capacity(results.len());
@@ -909,9 +913,14 @@ pub(crate) fn decode_strict(
     let mut panics = 0u64;
     let mut cancelled = 0u64;
     for ((i, _), r) in segs.iter().zip(results) {
+        if let JobOutcome::Done(seg) = &r {
+            seg.tally_into(tally);
+        }
         match r {
-            JobOutcome::Done(Ok(seg_out)) => parts.push(seg_out),
-            JobOutcome::Done(Err(e)) => {
+            JobOutcome::Done(SegmentDecode {
+                trits: Ok(seg_out), ..
+            }) => parts.push(seg_out),
+            JobOutcome::Done(SegmentDecode { trits: Err(e), .. }) => {
                 first_err.get_or_insert(e);
             }
             JobOutcome::Panicked(_) => {
@@ -921,8 +930,8 @@ pub(crate) fn decode_strict(
             JobOutcome::Cancelled => cancelled += 1,
         }
     }
-    crate::metrics::publish_count(crate::metrics::ENGINE_WORKER_PANICS, panics);
-    crate::metrics::publish_count(crate::metrics::ENGINE_CANCELLED_JOBS, cancelled);
+    crate::metrics::publish_count(catalogue::ENGINE_WORKER_PANICS, panics);
+    crate::metrics::publish_count(catalogue::ENGINE_CANCELLED_JOBS, cancelled);
     if cancelled > 0 {
         // Cancellation beats per-segment errors in the strict verdict:
         // the caller asked us to stop, so say so — with the trip cause
@@ -964,7 +973,17 @@ pub(crate) fn execute_strict(
         .enumerate()
         .collect();
     let mut trits = TritVec::with_capacity(plan.source_len);
-    decode_strict(engine, &segs, &table, engine.cancel(), &mut trits)?;
+    let mut tally = DecodeTally::default();
+    let decoded = decode_strict(
+        engine,
+        &segs,
+        &table,
+        engine.cancel(),
+        &mut trits,
+        &mut tally,
+    );
+    tally.publish();
+    decoded?;
     Ok(SalvageReport {
         trits,
         recovered_segments: segs.len(),
@@ -988,7 +1007,7 @@ impl Engine {
     /// [`DecodeError::LimitExceeded`] bombs (including an exhausted
     /// resync-probe budget). Segment-level damage lands in the plan.
     pub fn build_plan<'a>(&self, bytes: &'a [u8]) -> Result<FramePlan<'a>, DecodeError> {
-        let _span = ninec_obs::span("engine_build_plan");
+        let _span = catalogue::SPAN_ENGINE_BUILD_PLAN.start();
         build(bytes, self.limits(), BuildMode::Full).map_err(DecodeError::from)
     }
 
@@ -1017,7 +1036,7 @@ impl Engine {
         plan: &FramePlan<'_>,
         policy: Policy,
     ) -> Result<SalvageReport, DecodeError> {
-        let _span = ninec_obs::span("engine_execute_plan");
+        let _span = catalogue::SPAN_ENGINE_EXECUTE_PLAN.start();
         match policy {
             Policy::Strict => execute_strict(self, plan),
             Policy::Repair => super::salvage::execute(self, plan, true),

@@ -52,6 +52,8 @@ use crate::engine::frame::{
 };
 use crate::engine::plan::{self, BuildMode, PlanEntry, Step, Walker};
 use crate::engine::Engine;
+use crate::metrics::DecodeTally;
+use ninec_obs::catalogue;
 use ninec_testdata::trit::TritVec;
 use std::fmt;
 use std::io::Read;
@@ -497,7 +499,7 @@ impl Engine {
         &self,
         fr: &mut FrameReader<R>,
     ) -> Result<TritVec, ReadError> {
-        let _span = ninec_obs::span("engine_decode_stream");
+        let _span = catalogue::SPAN_ENGINE_DECODE_STREAM.start();
         fr.fail_fast();
         let head = fr.header().map_err(|e| match e {
             // The reader calls a magic prefix cut short a torn header;
@@ -512,18 +514,37 @@ impl Engine {
         // the in-memory decode; until then there is nothing to decode.
         let table = DecodeTable::for_lengths(&head.table_lengths);
         let mut out = TritVec::with_capacity(head.source_len.min(1 << 24));
-        let mut batch: Vec<OwnedSegment> = Vec::new();
         let mut failed: Option<DecodeError> = None;
-        let batch_cap = self.threads().max(1);
-        while let Some(item) = fr.next_item()? {
-            if let StreamItem::Data(seg) = item {
-                batch.push(seg);
-                if batch.len() >= batch_cap {
-                    self.drain_batch(&mut batch, table.as_ref(), &mut out, &mut failed);
+        // Every batch's decode telemetry, published once, on every exit.
+        let mut tally = DecodeTally::default();
+        let walked = (|| {
+            let mut batch: Vec<OwnedSegment> = Vec::new();
+            let batch_cap = self.threads().max(1);
+            while let Some(item) = fr.next_item()? {
+                if let StreamItem::Data(seg) = item {
+                    batch.push(seg);
+                    if batch.len() >= batch_cap {
+                        self.drain_batch(
+                            &mut batch,
+                            table.as_ref(),
+                            &mut out,
+                            &mut failed,
+                            &mut tally,
+                        );
+                    }
                 }
             }
-        }
-        self.drain_batch(&mut batch, table.as_ref(), &mut out, &mut failed);
+            self.drain_batch(
+                &mut batch,
+                table.as_ref(),
+                &mut out,
+                &mut failed,
+                &mut tally,
+            );
+            Ok::<(), ReadError>(())
+        })();
+        tally.publish();
+        walked?;
         // The walk's strict verdict outranks every per-segment failure.
         if let Some(e) = fr.strict_error() {
             frame::publish_failure_metrics(&e);
@@ -547,6 +568,7 @@ impl Engine {
         table: Option<&DecodeTable>,
         out: &mut TritVec,
         failed: &mut Option<DecodeError>,
+        tally: &mut DecodeTally,
     ) {
         if let Some(table) = table.filter(|_| failed.is_none()) {
             // Each segment was CRC-verified once, when the walk classified
@@ -555,7 +577,7 @@ impl Engine {
                 .iter()
                 .map(|owned| (owned.index, owned.view()))
                 .collect();
-            if let Err(e) = plan::decode_strict(self, &segs, table, self.cancel(), out) {
+            if let Err(e) = plan::decode_strict(self, &segs, table, self.cancel(), out, tally) {
                 *failed = Some(e);
             }
         }

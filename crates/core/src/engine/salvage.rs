@@ -60,7 +60,9 @@ use crate::engine::frame::{self, DamageReason};
 use crate::engine::plan::Policy;
 use crate::engine::plan::{self, FramePlan, PlanEntry};
 use crate::engine::reader::OwnedSegment;
-use crate::engine::Engine;
+use crate::engine::{Engine, SegmentDecode};
+use crate::metrics::DecodeTally;
+use ninec_obs::catalogue;
 use ninec_testdata::trit::{Trit, TritVec};
 use std::ops::Range;
 
@@ -243,12 +245,12 @@ fn repair_group(
 }
 
 /// One segment decode's outcome on the executor.
-type Decoded = JobOutcome<Result<TritVec, DecodeError>>;
+type Decoded = JobOutcome<SegmentDecode>;
 
 /// The first executor run's per-job outcome: an intact segment's decode
 /// (High priority) or one parity group's reconstruction (Low priority).
 enum StageOut {
-    Decoded(Result<TritVec, DecodeError>),
+    Decoded(SegmentDecode),
     Rebuilt(Vec<Rebuilt>, u64),
 }
 
@@ -342,6 +344,8 @@ pub(crate) fn execute(
     let mut outcomes: Vec<Option<Decoded>> = vec![None; slots.len()];
     let mut rebuilt: Vec<Option<Rebuilt>> = (0..plan.entries.len()).map(|_| None).collect();
     let (mut repair_failures, mut panics, mut cancelled) = (0u64, 0u64, 0u64);
+    // Both stages' decode telemetry, published once at the end.
+    let mut tally = DecodeTally::default();
     for (i, out) in stage1.into_iter().enumerate() {
         let out = match out {
             JobOutcome::Done(StageOut::Rebuilt(rebuilds, failures)) => {
@@ -352,7 +356,10 @@ pub(crate) fn execute(
                 }
                 continue;
             }
-            JobOutcome::Done(StageOut::Decoded(d)) => JobOutcome::Done(d),
+            JobOutcome::Done(StageOut::Decoded(d)) => {
+                d.tally_into(&mut tally);
+                JobOutcome::Done(d)
+            }
             JobOutcome::Panicked(p) => JobOutcome::Panicked(p),
             JobOutcome::Cancelled => JobOutcome::Cancelled,
         };
@@ -364,7 +371,7 @@ pub(crate) fn execute(
             None => panics += u64::from(matches!(out, JobOutcome::Panicked(_))),
         }
     }
-    crate::metrics::publish_count(crate::metrics::ECC_REPAIR_FAILURES, repair_failures);
+    crate::metrics::publish_count(catalogue::ECC_REPAIR_FAILURES, repair_failures);
 
     // Trusted lengths: intact + rebuilt segments. Untrusted: the
     // unrepaired damaged entries' claims, which share the rest.
@@ -437,8 +444,12 @@ pub(crate) fn execute(
         .collect();
     let results = plan::decode_segments(engine, &repaired, &table, engine.cancel());
     for (&(s, _), out) in repaired.iter().zip(results) {
+        if let JobOutcome::Done(d) = &out {
+            d.tally_into(&mut tally);
+        }
         outcomes[s] = Some(out);
     }
+    tally.publish();
 
     // Assemble, panic-isolated: a panicked or mis-decoding segment
     // degrades to an erasure.
@@ -456,7 +467,9 @@ pub(crate) fn execute(
             });
         let reason = match (erase, outcomes.get_mut(s).and_then(Option::take)) {
             (Some(reason), _) => reason,
-            (None, Some(JobOutcome::Done(Ok(out)))) if out.len() == want => {
+            (None, Some(JobOutcome::Done(SegmentDecode { trits: Ok(out), .. })))
+                if out.len() == want =>
+            {
                 trits.extend_from_tritvec(&out);
                 recovered += 1;
                 let Some(rb) = rb else {
@@ -490,10 +503,15 @@ pub(crate) fn execute(
             }
             // A decoder returning the wrong length is a writer bug;
             // degrade to an erasure.
-            (None, Some(JobOutcome::Done(Ok(_)))) => {
+            (None, Some(JobOutcome::Done(SegmentDecode { trits: Ok(_), .. }))) => {
                 DamageReason::Malformed("decoded length disagrees with the segment header")
             }
-            (None, Some(JobOutcome::Done(Err(err)))) => DamageReason::Decode(err),
+            (
+                None,
+                Some(JobOutcome::Done(SegmentDecode {
+                    trits: Err(err), ..
+                })),
+            ) => DamageReason::Decode(err),
             (None, Some(JobOutcome::Panicked(_))) => {
                 panics += 1;
                 DamageReason::WorkerPanicked
@@ -521,17 +539,17 @@ pub(crate) fn execute(
             reason,
         });
     }
-    crate::metrics::publish_count(crate::metrics::ENGINE_WORKER_PANICS, panics);
-    crate::metrics::publish_count(crate::metrics::ENGINE_CANCELLED_JOBS, cancelled);
+    crate::metrics::publish_count(catalogue::ENGINE_WORKER_PANICS, panics);
+    crate::metrics::publish_count(catalogue::ENGINE_CANCELLED_JOBS, cancelled);
     crate::metrics::publish_count(
-        crate::metrics::ECC_REPAIRED_SEGMENTS,
+        catalogue::ECC_REPAIRED_SEGMENTS,
         damaged
             .iter()
             .filter(|d| matches!(d.reason, DamageReason::RepairedBy { .. }))
             .count() as u64,
     );
     if !damaged.is_empty() {
-        crate::metrics::publish_count(crate::metrics::ENGINE_SALVAGED_SEGMENTS, recovered as u64);
+        crate::metrics::publish_count(catalogue::ENGINE_SALVAGED_SEGMENTS, recovered as u64);
         // A partial salvage is a flush trigger: make sure this thread's
         // events are visible to `take_trace` even if the thread lives on.
         ninec_obs::flush_thread_trace();

@@ -157,7 +157,7 @@ impl Archive {
     /// [`ArchiveError::Io`] on store read/write failures; findings
     /// (including `Lost`) are *not* errors — they are the report.
     pub fn scrub(&mut self, mode: ScrubMode) -> Result<ScrubReport, ArchiveError> {
-        let _span = ninec_obs::span("archive_scrub");
+        let _span = ninec_obs::catalogue::SPAN_ARCHIVE_SCRUB.start();
         let limits = self.engine.limits;
         let mut file = OpenOptions::new()
             .read(true)
@@ -181,7 +181,7 @@ impl Archive {
         };
         let mut wrote = false;
         for (fi, fr) in self.index.frames.iter().enumerate() {
-            let _frame_span = ninec_obs::span("scrub_frame");
+            let _frame_span = ninec_obs::catalogue::SPAN_SCRUB_FRAME.start();
             let n = fr.segs.len();
             let Ok(head) = frame::parse_file_header(&fr.header, &limits) else {
                 // Unreachable for an index that passed decode; stay total.

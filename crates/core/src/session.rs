@@ -376,7 +376,7 @@ fn decode_trits_with(
     table: &CodeTable,
     source_len: usize,
 ) -> Result<TritVec, DecodeError> {
-    let _span = ninec_obs::span("decode_session");
+    let _span = ninec_obs::catalogue::SPAN_DECODE_SESSION.start();
     let mut out = TritVec::with_capacity(source_len);
     StreamDecoder::new(stream.as_slice(), k, table.clone(), source_len)?.run_into(&mut out)?;
     Ok(out)

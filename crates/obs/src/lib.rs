@@ -16,6 +16,9 @@
 //!   JSON-lines renderers;
 //! - [`Registry`] — named get-or-register metric handles, with a
 //!   process-wide instance at [`global()`];
+//! - [`catalogue`] — every metric and span the data plane publishes,
+//!   declared once with its kind; each entry looks its cell up on its
+//!   first publish and keeps it, so warm calls never lock the registry;
 //! - [`export::Snapshot`] — a decoupled point-in-time copy with
 //!   Prometheus-text and JSON renderers.
 //!
@@ -50,6 +53,7 @@
 
 #![warn(missing_docs)]
 
+pub mod catalogue;
 pub mod export;
 pub mod trace;
 
@@ -58,8 +62,8 @@ pub use live::{
     begin_trace, current_trace, flush_thread_trace, global, is_compiled, runtime_enabled,
     set_runtime_enabled, set_trace_context, set_trace_enabled, set_trace_spans, set_trace_worker,
     snapshot_trace, span, take_spans, take_trace, trace_context, trace_enabled, trace_instant,
-    trace_span_scope, trace_worker, Counter, Gauge, Histogram, Registry, SpanEvent, SpanTimer,
-    TraceScope,
+    trace_span_scope, trace_worker, Counter, Gauge, Histogram, Registry, SampleBatch, SpanEvent,
+    SpanTimer, TraceScope,
 };
 
 pub use export::{HistogramSnapshot, Snapshot};

@@ -3,9 +3,12 @@
 //!
 //! Handles are cheap `Arc`s onto the shared atomic state; the registry
 //! mutex is touched only at registration/snapshot time, never on the hot
-//! path. All updates use relaxed ordering — metrics need totals, not
-//! ordering, and a [`Registry::snapshot`] sees every update that
-//! happened-before it via the mutex acquire.
+//! path: every metric and span the data plane publishes is a
+//! [`catalogue`](crate::catalogue) entry that looks its cell up once, on
+//! its first publish, and keeps the handle. All updates use relaxed
+//! ordering — metrics need totals, not ordering, and a
+//! [`Registry::snapshot`] sees every update that happened-before it via
+//! the mutex acquire.
 
 use crate::export::{bucket_index, bucket_upper, HistogramSnapshot, Snapshot, BUCKETS};
 use std::cell::Cell;
@@ -164,6 +167,25 @@ impl Histogram {
         }
     }
 
+    /// Records every sample of `batch` in one update per touched bucket
+    /// — the same state as recording each sample on its own.
+    pub fn record_batch(&self, batch: &SampleBatch) {
+        if batch.count == 0 {
+            return;
+        }
+        let core = &*self.0;
+        // Order statistics before buckets, as in `record_n`.
+        core.min.fetch_min(batch.min, Ordering::Relaxed);
+        core.max.fetch_max(batch.max, Ordering::Relaxed);
+        core.sum.fetch_add(batch.sum, Ordering::Relaxed);
+        for (cell, &n) in core.buckets.iter().zip(&batch.buckets) {
+            if n > 0 {
+                cell.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+        core.count.fetch_add(batch.count, Ordering::Relaxed);
+    }
+
     fn snapshot(&self) -> HistogramSnapshot {
         // One pass over the bucket atomics, with the total *derived from
         // those same reads*: a concurrent record_n may land between two
@@ -197,6 +219,56 @@ impl Histogram {
     }
 }
 
+/// Histogram samples gathered locally — plain integers, no atomics —
+/// and recorded in one [`Histogram::record_batch`]: how a call hands
+/// its per-segment samples over once, after its jobs have joined.
+#[derive(Debug, Clone)]
+pub struct SampleBatch {
+    buckets: [u64; BUCKETS],
+    count: u64,
+    sum: u64,
+    min: u64,
+    max: u64,
+}
+
+impl Default for SampleBatch {
+    fn default() -> Self {
+        Self {
+            buckets: [0; BUCKETS],
+            count: 0,
+            sum: 0,
+            min: u64::MAX,
+            max: 0,
+        }
+    }
+}
+
+impl SampleBatch {
+    /// Adds one sample of `value`.
+    pub fn add(&mut self, value: u64) {
+        self.add_n(value, 1);
+    }
+
+    /// Adds `n` samples of `value`.
+    pub fn add_n(&mut self, value: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.min = self.min.min(value);
+        self.max = self.max.max(value);
+        // Wrapping, as the histogram's own `fetch_add` of the sum is.
+        self.sum = self.sum.wrapping_add(value.saturating_mul(n));
+        self.buckets[bucket_index(value)] += n;
+        self.count += n;
+    }
+
+    /// Samples gathered so far.
+    #[must_use]
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+}
+
 #[derive(Debug, Clone)]
 enum Slot {
     Counter(Counter),
@@ -217,11 +289,15 @@ impl Slot {
 /// A named metric registry.
 ///
 /// `Registry::new()` is `const`, so registries can live in statics; the
-/// process-wide default is [`global`]. Handle lookups lock a mutex —
-/// resolve handles once (e.g. in a `OnceLock`) on hot paths.
+/// process-wide default is [`global`]. Each handle lookup locks a mutex
+/// and allocates its name, so hot paths resolve a handle once: every
+/// metric the data plane publishes is a [`catalogue`](crate::catalogue)
+/// entry that does so on its first publish. [`Registry::lookups`]
+/// counts the lookups, so a test can show a warm call makes none.
 #[derive(Debug, Default)]
 pub struct Registry {
     slots: Mutex<BTreeMap<String, Slot>>,
+    lookups: AtomicU64,
 }
 
 impl Registry {
@@ -230,7 +306,15 @@ impl Registry {
     pub const fn new() -> Self {
         Self {
             slots: Mutex::new(BTreeMap::new()),
+            lookups: AtomicU64::new(0),
         }
+    }
+
+    /// Lookups by name served so far: every [`counter`](Self::counter),
+    /// [`gauge`](Self::gauge) and [`histogram`](Self::histogram) call.
+    #[must_use]
+    pub fn lookups(&self) -> u64 {
+        self.lookups.load(Ordering::Relaxed)
     }
 
     /// Returns the counter `name`, registering it on first use.
@@ -272,6 +356,7 @@ impl Registry {
     }
 
     fn slot(&self, name: &str, make: impl FnOnce() -> Slot) -> Slot {
+        self.lookups.fetch_add(1, Ordering::Relaxed);
         let mut slots = self.slots.lock().expect("registry poisoned");
         slots.entry(name.to_owned()).or_insert_with(make).clone()
     }
@@ -390,13 +475,21 @@ pub fn take_spans() -> Vec<SpanEvent> {
 
 /// An RAII span timer over the monotonic clock.
 ///
-/// Created by [`span`]; on drop it records its wall-clock duration into
-/// the global histogram `span.<name>.ns` and, when tracing is on,
-/// captures a [`SpanEvent`] with its nesting depth. Timers nest per
-/// thread: a span opened while another is live records one level deeper.
+/// Created by [`SpanDef::start`](crate::catalogue::SpanDef::start) or
+/// [`span`]; on drop it records its wall-clock duration into the global
+/// histogram `span.<name>.ns` and, when tracing is on, captures a
+/// [`SpanEvent`] with its nesting depth. Timers nest per thread: a span
+/// opened while another is live records one level deeper.
 #[derive(Debug)]
 pub struct SpanTimer {
     inner: Option<SpanInner>,
+}
+
+impl SpanTimer {
+    /// A timer that records nothing: telemetry is off.
+    pub(crate) fn inert() -> Self {
+        SpanTimer { inner: None }
+    }
 }
 
 #[derive(Debug)]
@@ -408,13 +501,21 @@ struct SpanInner {
     hist: Histogram,
 }
 
-/// Opens a span named `name` on the global registry. Inert (and free)
+/// Opens a span named `name` on the global registry, looking its
+/// histogram up by name: for spans named at run time, such as the CLI's
+/// per-command span. Data-plane spans are
+/// [`catalogue`](crate::catalogue) entries instead. Inert (and free)
 /// when [`runtime_enabled`] is off.
 #[must_use]
 pub fn span(name: &'static str) -> SpanTimer {
     if !runtime_enabled() {
-        return SpanTimer { inner: None };
+        return SpanTimer::inert();
     }
+    start_span(name, global().histogram(&format!("span.{name}.ns")))
+}
+
+/// Opens a live span timer recording into `hist`.
+pub(crate) fn start_span(name: &'static str, hist: Histogram) -> SpanTimer {
     let depth = SPAN_DEPTH.with(|d| {
         let depth = d.get();
         d.set(depth + 1);
@@ -426,7 +527,7 @@ pub fn span(name: &'static str) -> SpanTimer {
             start: Instant::now(),
             depth,
             seq: SPAN_SEQ.fetch_add(1, Ordering::Relaxed),
-            hist: global().histogram(&format!("span.{name}.ns")),
+            hist,
         }),
     }
 }
@@ -818,6 +919,31 @@ mod tests {
         let reg = Registry::new();
         let _ = reg.counter("x");
         let _ = reg.gauge("x");
+    }
+
+    #[test]
+    fn a_batch_records_like_its_samples_one_by_one() {
+        let reg = Registry::new();
+        let (one_by_one, batched) = (reg.histogram("a"), reg.histogram("b"));
+        let mut batch = SampleBatch::default();
+        for (value, n) in [(0, 1), (3, 2), (900, 1), (5, 0), (u64::MAX, 1)] {
+            one_by_one.record_n(value, n);
+            batch.add_n(value, n);
+        }
+        batched.record_batch(&batch);
+        batched.record_batch(&SampleBatch::default());
+        assert_eq!(batch.count(), 5);
+        assert_eq!(one_by_one.snapshot(), batched.snapshot());
+    }
+
+    #[test]
+    fn lookups_count_every_lookup_by_name() {
+        let reg = Registry::new();
+        let c = reg.counter("c");
+        let _ = reg.histogram("h");
+        let _ = reg.counter("c");
+        c.add(3);
+        assert_eq!(reg.lookups(), 3);
     }
 
     #[test]

@@ -632,7 +632,7 @@ impl RetryingClient {
             }
             attempt += 1;
             self.retries += 1;
-            ninec::metrics::publish_count("ninec.serve.client_retries", 1);
+            ninec::metrics::publish_count(ninec_obs::catalogue::SERVE_CLIENT_RETRIES, 1);
             std::thread::sleep(sleep);
         }
     }

@@ -38,6 +38,7 @@ use crate::wire::{self, Op, Status};
 use crate::{http, ServeConfig};
 use ninec::engine::{active_jobs, Archive, ArchiveError};
 use ninec::{CancelToken, SharedEngine};
+use ninec_obs::catalogue::{self, CounterDef};
 use ninec_testdata::trit::TritVec;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -88,7 +89,7 @@ pub(crate) struct Stats {
 }
 
 impl Stats {
-    fn tick(field: &AtomicU64, metric: &str) {
+    fn tick(field: &AtomicU64, metric: CounterDef) {
         field.fetch_add(1, Ordering::Relaxed);
         ninec::metrics::publish_count(metric, 1);
     }
@@ -401,11 +402,11 @@ fn accept_loop(shared: &Shared, listener: &TcpListener, tx: &SyncSender<TcpStrea
             break;
         }
         let Ok(stream) = conn else { continue };
-        Stats::tick(&shared.stats.connections, "ninec.serve.connections");
+        Stats::tick(&shared.stats.connections, catalogue::SERVE_CONNECTIONS);
         match tx.try_send(stream) {
             Ok(()) => {}
             Err(TrySendError::Full(mut stream)) => {
-                Stats::tick(&shared.stats.busy, "ninec.serve.busy");
+                Stats::tick(&shared.stats.busy, catalogue::SERVE_BUSY);
                 let _ = wire::write_response(
                     &mut stream,
                     Status::Busy,
@@ -477,7 +478,7 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
                 return;
             }
         };
-        Stats::tick(&shared.stats.requests, "ninec.serve.requests");
+        Stats::tick(&shared.stats.requests, catalogue::SERVE_REQUESTS);
 
         // HELLO re-binds the connection's tenant and negotiates
         // capabilities; it skips admission (no codec work).
@@ -503,12 +504,12 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
                     (Status::Ok, greeting)
                 }
                 None => {
-                    Stats::tick(&shared.stats.failed, "ninec.serve.failed");
+                    Stats::tick(&shared.stats.failed, catalogue::SERVE_FAILED);
                     (Status::BadRequest, format!("unknown tenant `{name}`"))
                 }
             };
             if status == Status::Ok {
-                Stats::tick(&shared.stats.ok, "ninec.serve.ok");
+                Stats::tick(&shared.stats.ok, catalogue::SERVE_OK);
             }
             if wire::write_response(&mut stream, status, 0, reply.as_bytes()).is_err() {
                 conn_token.cancel();
@@ -544,19 +545,19 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
 
         let (status, flags, reply) = admit_and_dispatch(shared, &tenant, op, body, &cancel);
         match status {
-            Status::Ok => Stats::tick(&shared.stats.ok, "ninec.serve.ok"),
-            Status::Partial => Stats::tick(&shared.stats.partial, "ninec.serve.partial"),
-            Status::Busy => Stats::tick(&shared.stats.busy, "ninec.serve.busy"),
+            Status::Ok => Stats::tick(&shared.stats.ok, catalogue::SERVE_OK),
+            Status::Partial => Stats::tick(&shared.stats.partial, catalogue::SERVE_PARTIAL),
+            Status::Busy => Stats::tick(&shared.stats.busy, catalogue::SERVE_BUSY),
             Status::RateLimited => {
-                Stats::tick(&shared.stats.rate_limited, "ninec.serve.rate_limited");
+                Stats::tick(&shared.stats.rate_limited, catalogue::SERVE_RATE_LIMITED);
             }
             Status::DeadlineExceeded => {
                 Stats::tick(
                     &shared.stats.deadline_exceeded,
-                    "ninec.serve.deadline_exceeded",
+                    catalogue::SERVE_DEADLINE_EXCEEDED,
                 );
             }
-            _ => Stats::tick(&shared.stats.failed, "ninec.serve.failed"),
+            _ => Stats::tick(&shared.stats.failed, catalogue::SERVE_FAILED),
         }
         if wire::write_response(&mut stream, status, flags, &reply).is_err() {
             conn_token.cancel();
@@ -719,7 +720,7 @@ fn decode(
     cancel: &CancelToken,
 ) -> (Status, Vec<u8>) {
     let policy = if degraded && requested != ninec::Policy::Strict {
-        Stats::tick(&shared.stats.shed, "ninec.serve.shed");
+        Stats::tick(&shared.stats.shed, catalogue::SERVE_SHED);
         ninec::Policy::Strict
     } else {
         requested
@@ -751,7 +752,7 @@ fn decode(
         // connection dying mid-decode — is a typed timeout, not a decode
         // failure: the frame itself was never judged.
         Err(e @ (ninec::DecodeError::Cancelled | ninec::DecodeError::DeadlineExceeded)) => {
-            ninec::metrics::publish_count("ninec.serve.cancelled_jobs", 1);
+            ninec::metrics::publish_count(catalogue::SERVE_CANCELLED_JOBS, 1);
             (Status::DeadlineExceeded, e.to_string().into_bytes())
         }
         Err(e) => (Status::Failed, e.to_string().into_bytes()),

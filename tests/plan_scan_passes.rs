@@ -7,8 +7,9 @@
 //! `ninec.engine.segments` by the jobs the executor ran, and the
 //! `ninec.decode.*` counters by the segments, blocks and trits a clean
 //! decode moved. Further tests pin what `encode_frame` publishes, what
-//! `ninec.ecc.repaired_segments` counts, and that a multi-threaded
-//! decode's trace events are all recorded when it returns.
+//! `ninec.ecc.repaired_segments` counts, that a warm data-plane call
+//! makes no registry lookup, and that a multi-threaded decode's trace
+//! events are all recorded when it returns.
 //!
 //! The [`ninec_obs`] registry is process global, so this file is its own
 //! integration-test binary and its tests take [`REGISTRY`] in turn: no
@@ -17,7 +18,7 @@
 //! [`FramePlan`]: ninec::FramePlan
 
 use ninec::engine::frame::SEGMENT_HEADER_BYTES;
-use ninec::engine::DecodeLimits;
+use ninec::engine::{Archive, DecodeLimits, FrameReader};
 use ninec::session::DecodeSession;
 use ninec::{metrics, Engine, PlanEntry, Policy};
 use ninec_testdata::gen::SyntheticProfile;
@@ -407,4 +408,100 @@ fn worker_trace_events_land_before_the_decode_returns() {
         counts.iter().all(|&c| c == counts[0]),
         "events per decode: {counts:?}"
     );
+}
+
+/// A warm call makes no registry lookup: every metric and span it
+/// publishes kept the handle it resolved on an earlier call. Counted
+/// with `Registry::lookups` around a repeat of each data-plane call, at
+/// 1 and 3 threads. A worker's busy-time cell resolves when that worker
+/// first completes a job, which at 3 threads may be a later call than
+/// the first, so a larger `encode_frame` first runs until every worker
+/// has.
+#[test]
+fn a_warm_call_makes_no_registry_lookup() {
+    let _registry = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
+    let set = SyntheticProfile::new("warm", 40, 250, 0.8).generate(13);
+    let stream = set.as_stream();
+    let large = SyntheticProfile::new("warm", 400, 250, 0.8).generate(13);
+    let dir = std::env::temp_dir().join(format!("ninec_warm_lookups_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    for threads in [1usize, 3] {
+        let engine = Engine::builder()
+            .threads(threads)
+            .segment_bits(256)
+            .parity(4, 1)
+            .build();
+        let frame = engine.encode_frame(8, stream).expect("frame encodes");
+        let data: Vec<_> = engine
+            .build_plan(&frame)
+            .expect("clean frame plans")
+            .entries()
+            .iter()
+            .filter_map(|e| match e {
+                PlanEntry::Data { byte_range, .. } => Some(byte_range.clone()),
+                _ => None,
+            })
+            .collect();
+        let damaged = damage(&frame, &data, &[1]);
+        let session = DecodeSession::new().threads(threads);
+        let mut archive =
+            Archive::create(dir.join(format!("t{threads}.9ca")), &engine).expect("archive creates");
+        archive.append_frame(&frame).expect("frame appends");
+        let every_worker_busy = || {
+            let counters = ninec_obs::snapshot().counters;
+            (0..threads).all(|w| {
+                let name = metrics::worker_busy_ns_name(w);
+                counters.iter().any(|(n, _)| *n == name)
+            })
+        };
+        let mut tries = 0;
+        while !every_worker_busy() {
+            assert!(
+                tries < 100,
+                "threads={threads}: a worker never claimed a job"
+            );
+            engine
+                .encode_frame(8, large.as_stream())
+                .expect("frame encodes");
+            tries += 1;
+        }
+        let calls: [(&str, &dyn Fn()); 6] = [
+            ("encode_frame", &|| {
+                engine.encode_frame(8, stream).expect("frame encodes");
+            }),
+            ("Engine::encode", &|| {
+                engine.encode(8, stream).expect("valid K");
+            }),
+            ("strict decode_frame", &|| {
+                session
+                    .decode_frame(&frame, Policy::Strict)
+                    .expect("clean frame decodes");
+            }),
+            ("repair decode_frame", &|| {
+                session
+                    .decode_frame(&damaged, Policy::Repair)
+                    .expect("file headers intact");
+            }),
+            ("decode_stream_reader", &|| {
+                engine
+                    .decode_stream_reader(&mut FrameReader::new(std::io::Cursor::new(&frame)))
+                    .expect("clean frame streams");
+            }),
+            ("decode_range", &|| {
+                archive.decode_range(0, 300, 2_000).expect("range decodes");
+            }),
+        ];
+        for (name, call) in calls {
+            call();
+            let before = ninec_obs::global().lookups();
+            call();
+            assert_eq!(
+                ninec_obs::global().lookups() - before,
+                0,
+                "threads={threads}: a second {name} looked a metric up by name"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
