@@ -98,12 +98,6 @@ impl SpanDef {
         self.name
     }
 
-    /// The duration histogram, `span.<name>.ns`.
-    #[must_use]
-    pub const fn histogram(self) -> HistogramDef {
-        self.hist
-    }
-
     /// Opens the span; it records its duration when dropped. Inert (and
     /// free) while [`runtime_enabled`](crate::runtime_enabled) is off.
     #[must_use]
@@ -343,7 +337,7 @@ mod tests {
         assert_eq!(ENCODE_CASES[8].name(), "ninec.encode.case.C9");
         assert_eq!(worker_busy_ns_name(7), "ninec.engine.worker.7.busy_ns");
         assert_eq!(SPAN_SCRUB_FRAME.name(), "scrub_frame");
-        assert_eq!(SPAN_SCRUB_FRAME.histogram().name(), "span.scrub_frame.ns");
+        assert_eq!(SPAN_SCRUB_FRAME.hist.name(), "span.scrub_frame.ns");
     }
 
     #[test]
