@@ -88,6 +88,17 @@ impl EncodeStats {
         crate::metrics::publish_encode(self, source_len, table, k);
     }
 
+    /// Accumulates `part` into `self` (case counts, blocks, bits,
+    /// leftover X).
+    pub(crate) fn merge(&mut self, part: &EncodeStats) {
+        for (a, p) in self.case_counts.iter_mut().zip(part.case_counts) {
+            *a += p;
+        }
+        self.blocks += part.blocks;
+        self.encoded_bits += part.encoded_bits;
+        self.leftover_x += part.leftover_x;
+    }
+
     /// Recomputes `|T_E|` from the counts via the paper's formula:
     /// `Σ N_i · (|C_i| + payload_i(K))`. Equals [`EncodeStats::encoded_bits`]
     /// for the table/K the stats were produced with.

@@ -39,11 +39,11 @@
 //! worker, the caller included, publishes its completion and busy-time
 //! tallies once, at the end of its job loop (`ninec.engine.segments`,
 //! `ninec.engine.worker.<i>.busy_ns`, through handles resolved once per
-//! worker index). Jobs publish nothing: each returns its own tallies with
-//! its result, and the calling code publishes their sums once. On top of the aggregates, every
-//! job runs inside a flight-recorder `"job"` span stamped with the
-//! worker id and the job's priority class — the Fig 4c load imbalance as
-//! a reconstructable timeline. Spawned workers inherit the submitting
+//! worker index). Jobs publish nothing: each returns its own tallies
+//! with its result, and the calling code publishes their sums once. On
+//! top of the aggregates, every job runs inside a flight-recorder
+//! `"job"` span stamped with the worker id and the job's priority class
+//! — the Fig 4c load imbalance as a reconstructable timeline. Spawned workers inherit the submitting
 //! thread's trace context and flush their ring into the global recorder
 //! at the end of their job loop, so a call's events are all there when
 //! it returns; a caught panic flushes the worker's ring before the

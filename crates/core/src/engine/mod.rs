@@ -389,7 +389,7 @@ impl Engine {
         let mut encode_ns = SampleBatch::default();
         for part in &parts {
             out.extend_from_tritvec(&part.stream);
-            merge_stats(&mut stats, &part.totals.stats);
+            stats.merge(&part.totals.stats);
             part.tally_into(&encoder, &mut tally, &mut encode_ns);
         }
         tally.publish();
@@ -715,16 +715,6 @@ fn encode_segment(
         totals,
         nanos: t0.map(|t0| t0.elapsed().as_nanos() as u64),
     }
-}
-
-/// Accumulates `part` into `acc` (case counts, blocks, bits, leftover X).
-fn merge_stats(acc: &mut EncodeStats, part: &EncodeStats) {
-    for (a, p) in acc.case_counts.iter_mut().zip(part.case_counts.iter()) {
-        *a += p;
-    }
-    acc.blocks += part.blocks;
-    acc.encoded_bits += part.encoded_bits;
-    acc.leftover_x += part.leftover_x;
 }
 
 impl From<frame::FrameError> for DecodeError {

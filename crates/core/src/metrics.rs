@@ -206,12 +206,7 @@ impl EncodeTally {
         k: usize,
     ) {
         self.runs += 1;
-        for (acc, n) in self.stats.case_counts.iter_mut().zip(stats.case_counts) {
-            *acc += n;
-        }
-        self.stats.blocks += stats.blocks;
-        self.stats.encoded_bits += stats.encoded_bits;
-        self.stats.leftover_x += stats.leftover_x;
+        self.stats.merge(stats);
         self.source_bits += source_len as u64;
         for case in ALL_CASES {
             self.block_bits.add_n(
