@@ -86,10 +86,10 @@ pub use scrub::{ScrubFinding, ScrubMode, ScrubReport, ScrubVerdict};
 pub type SharedEngine = std::sync::Arc<Engine>;
 
 use crate::code::CodeTable;
-use crate::decode::{DecodeError, DecodeTable, StreamDecoder};
+use crate::decode::{DecodeError, DecodeTable, Decoder};
 use crate::encode::{EncodeStats, EncodeTotals, Encoded, Encoder, InvalidBlockSize};
 use crate::metrics::{DecodeRun, DecodeTally, EncodeTally};
-use crate::stream::BitCounter;
+use crate::stream::{BitCounter, BitSink};
 use ninec_obs::catalogue;
 use ninec_obs::SampleBatch;
 use ninec_testdata::trit::{Trit, TritVec};
@@ -581,19 +581,23 @@ impl Engine {
         plan::execute_strict(self, &built).map(|report| report.trits)
     }
 
-    /// Decodes one parsed segment, attributed to index `i`, under its
-    /// `segment_decode` span — the one segment job of every decode:
-    /// strict, repair, salvage and streaming. The job publishes nothing:
-    /// its decoder run and latency sample come back with its output.
-    /// Armed [`faultpoint`]s fire here (panic/delay before the work,
-    /// corrupt after), which is what makes worker panics and torn writes
-    /// deterministically injectable.
-    pub(crate) fn decode_one_segment(
+    /// Decodes one parsed segment, attributed to index `i`, into `out`
+    /// under its `segment_decode` span — the one segment job of every
+    /// decode: strict, repair, salvage and streaming. The payload is
+    /// checked once and then decoded from its packed bytes in place;
+    /// strict decode passes its share of the frame's output as `out`,
+    /// repair and salvage a buffer of the segment's own. The job
+    /// publishes nothing: its decoder run and latency sample come back
+    /// with its output. Armed [`faultpoint`]s fire here (panic/delay
+    /// before the work, corrupt after), which is what makes worker
+    /// panics and torn writes deterministically injectable.
+    pub(crate) fn decode_one_segment<O: SegmentSink>(
         &self,
         seg: &frame::ParsedSegment<'_>,
         i: usize,
         table: &DecodeTable,
-    ) -> SegmentDecode {
+        mut out: O,
+    ) -> SegmentDecode<O::Output> {
         let _seg_span = ninec_obs::trace_span_scope(
             "segment_decode",
             u32::try_from(i).unwrap_or(u32::MAX),
@@ -609,52 +613,73 @@ impl Engine {
         }
         let t0 = ninec_obs::runtime_enabled().then(std::time::Instant::now);
         let mut run = DecodeRun::default();
-        let trits = (|| {
-            let payload = frame::unpack_payload(seg, i)?;
-            let mut out = TritVec::with_capacity(seg.source_trits);
-            let decoder = StreamDecoder::with_table(
-                payload.as_slice(),
-                seg.k,
-                Cow::Borrowed(table),
-                seg.source_trits,
-            )?;
+        let decoded = (|| {
+            let payload = frame::checked_payload(seg, i)?;
+            let decoder =
+                Decoder::with_table(payload, seg.k, Cow::Borrowed(table), seg.source_trits)?;
             let result;
             (result, run) = decoder.run_tallied(&mut out);
-            result?;
-            Ok(out)
+            result
         })();
-        let Ok(mut out) = trits else {
+        if let Err(e) = decoded {
             return SegmentDecode {
-                trits,
+                trits: Err(e),
                 run,
                 nanos: None,
             };
-        };
+        }
         if matches!(fault, Some(faultpoint::Action::Corrupt)) {
             // Torn write: flip the first decoded trit after the CRC and
             // the 9C decode both passed.
-            if let Some(t) = out.get(0) {
-                let flipped = match t {
-                    Trit::Zero => Trit::One,
-                    Trit::One | Trit::X => Trit::Zero,
-                };
-                out.set(0, flipped);
-            }
+            out.flip_first();
         }
         SegmentDecode {
-            trits: Ok(out),
+            trits: Ok(out.finish()),
             run,
             nanos: t0.map(|t0| t0.elapsed().as_nanos() as u64),
         }
     }
 }
 
+/// Where one segment job writes its decoded trits: a buffer of the
+/// segment's own ([`TritVec`], repair and salvage) or its share of the
+/// frame's output (strict decode).
+pub(crate) trait SegmentSink: BitSink {
+    /// What the job hands back after a successful decode.
+    type Output;
+
+    /// Flips the first trit written — a zero to one, a one or `X` to
+    /// zero: the `corrupt` fault point's torn write.
+    fn flip_first(&mut self);
+
+    /// The job's output, once every trit is written.
+    fn finish(self) -> Self::Output;
+}
+
+impl SegmentSink for TritVec {
+    type Output = TritVec;
+
+    fn flip_first(&mut self) {
+        if let Some(t) = self.get(0) {
+            let flipped = match t {
+                Trit::Zero => Trit::One,
+                Trit::One | Trit::X => Trit::Zero,
+            };
+            self.set(0, flipped);
+        }
+    }
+
+    fn finish(self) -> TritVec {
+        self
+    }
+}
+
 /// One segment decode job's result: its output, and the telemetry the
 /// call publishes once for all its jobs.
 #[derive(Debug, Clone)]
-pub(crate) struct SegmentDecode {
-    /// The decoded trits, or why the segment failed.
-    pub(crate) trits: Result<TritVec, DecodeError>,
+pub(crate) struct SegmentDecode<T> {
+    /// The decoded output, or why the segment failed.
+    pub(crate) trits: Result<T, DecodeError>,
     /// The decoder's run, also when it failed part-way.
     pub(crate) run: DecodeRun,
     /// Latency sample of a successful decode; `None` on failure or with
@@ -662,7 +687,7 @@ pub(crate) struct SegmentDecode {
     pub(crate) nanos: Option<u64>,
 }
 
-impl SegmentDecode {
+impl<T> SegmentDecode<T> {
     /// Adds this job's telemetry to its call's tally.
     pub(crate) fn tally_into(&self, tally: &mut DecodeTally) {
         tally.add_run(self.run);

@@ -245,12 +245,12 @@ fn repair_group(
 }
 
 /// One segment decode's outcome on the executor.
-type Decoded = JobOutcome<SegmentDecode>;
+type Decoded = JobOutcome<SegmentDecode<TritVec>>;
 
 /// The first executor run's per-job outcome: an intact segment's decode
 /// (High priority) or one parity group's reconstruction (Low priority).
 enum StageOut {
-    Decoded(SegmentDecode),
+    Decoded(SegmentDecode<TritVec>),
     Rebuilt(Vec<Rebuilt>, u64),
 }
 
@@ -323,7 +323,8 @@ pub(crate) fn execute(
         engine.cancel(),
         |i| {
             if let Some((s, seg)) = intact.get(i) {
-                return StageOut::Decoded(engine.decode_one_segment(seg, *s, &table));
+                let out = TritVec::with_capacity(seg.source_trits);
+                return StageOut::Decoded(engine.decode_one_segment(seg, *s, &table, out));
             }
             let group = damaged_groups[i - boundary];
             let _grp_span = ninec_obs::trace_span_scope(

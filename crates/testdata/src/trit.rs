@@ -238,6 +238,35 @@ impl TritVec {
             .extend_from_words(slice.value_words(), slice.bit_start(), slice.len());
     }
 
+    /// Appends `n` `X` symbols in one zero-filled grow of both planes: the
+    /// room an in-place writer then fills through
+    /// [`planes_mut`](Self::planes_mut).
+    pub fn grow_x(&mut self, n: usize) {
+        self.care.grow_zeroed(n);
+        self.value.grow_zeroed(n);
+    }
+
+    /// The packed words of the care and value planes, mutably, for
+    /// writers that fill symbols in place. The caller keeps the plane
+    /// invariant (`value ⊆ care`) and leaves every bit at a position
+    /// `>= len()` zero: the derived `Eq` and `Hash` read whole words.
+    pub fn planes_mut(&mut self) -> (&mut [u64], &mut [u64]) {
+        (self.care.words_mut(), self.value.words_mut())
+    }
+
+    /// Appends the `n <= 64` low symbols of one care/value word pair, in
+    /// O(1) word operations. The pair must keep the plane invariant
+    /// (`value ⊆ care`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n > 64`.
+    #[inline]
+    pub fn push_words(&mut self, care: u64, value: u64, n: usize) {
+        self.care.push_bits_lsb(care, n);
+        self.value.push_bits_lsb(value, n);
+    }
+
     /// Appends `n` copies of `t` in O(n / 64) word operations.
     pub fn push_run(&mut self, t: Trit, n: usize) {
         self.care.push_repeat(t.is_care(), n);
@@ -558,6 +587,21 @@ mod tests {
     fn slice_out_of_range_panics() {
         let tv: TritVec = "01".parse().unwrap();
         let _ = tv.slice(1, 3);
+    }
+
+    #[test]
+    fn grow_x_then_planes_mut_writes_in_place() {
+        let mut tv: TritVec = "01".parse().unwrap();
+        tv.grow_x(65);
+        assert_eq!(tv.len(), 67);
+        assert_eq!(tv.count_x(), 65);
+        let (care, value) = tv.planes_mut();
+        // Trit 66 becomes a one, trit 2 a zero.
+        care[1] |= 1 << 2;
+        value[1] |= 1 << 2;
+        care[0] |= 1 << 2;
+        let want: TritVec = format!("010{}1", "X".repeat(63)).parse().unwrap();
+        assert_eq!(tv, want);
     }
 
     #[test]
