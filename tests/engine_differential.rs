@@ -3,16 +3,19 @@
 //! The engine must be an *invisible* parallelization: for every block
 //! size, segment geometry and thread count, `Engine::encode` is
 //! bit-identical to the serial `Encoder::encode_stream`, and `9CSF` frame
-//! bytes are independent of the thread count. Corrupt frames — bad magic,
-//! flipped CRC bytes, truncation, arbitrary byte salad — must come back as
-//! typed [`DecodeError`]s, never panics.
+//! bytes are independent of the thread count. Strict decode, which
+//! writes every segment straight into the frame's output, equals the
+//! serial decode exactly, `X` positions included. Corrupt frames — bad
+//! magic, flipped CRC bytes, truncation, arbitrary byte salad — must come
+//! back as typed [`DecodeError`]s, never panics.
 
 use ninec::encode::Encoder;
-use ninec::engine::{frame, Engine, FrameError};
+use ninec::engine::{frame, Engine, FrameError, FrameReader};
 use ninec::session::DecodeSession;
-use ninec::DecodeError;
+use ninec::{DecodeError, Policy};
 use ninec_testdata::trit::{Trit, TritVec};
 use proptest::prelude::*;
+use std::io::Read;
 
 /// Block sizes the differential sweep covers (issue spec).
 const K_DIFF: [usize; 4] = [4, 8, 16, 32];
@@ -38,6 +41,28 @@ fn arb_stream(max_len: usize) -> impl Strategy<Value = TritVec> {
 /// so large the whole stream is one segment (4096 blocks).
 fn segment_sweeps(k: usize) -> [usize; 3] {
     [k, 3 * k + 1, 4096 * k]
+}
+
+/// Segment sizes for the in-place property, before block alignment: one
+/// block, a ragged size, sizes just under and just over a word, and a
+/// long one. Most of them start and end segments inside an output word.
+fn in_place_sweeps(k: usize) -> [usize; 5] {
+    [k, 3 * k + 1, 60, 68, 1000]
+}
+
+/// A reader handing out at most `chunk` bytes per `read` call.
+struct Dribble<'a> {
+    bytes: &'a [u8],
+    chunk: usize,
+}
+
+impl Read for Dribble<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.chunk.min(buf.len()).min(self.bytes.len());
+        buf[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
 }
 
 fn engine(threads: usize, segment_bits: usize) -> Engine {
@@ -93,6 +118,44 @@ proptest! {
                         if s.is_care() {
                             prop_assert_eq!(Some(s), back.get(i), "care bit {}", i);
                         }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Strict decode writes each segment straight into the frame's
+    /// output, the words its neighbours share merged after the join: in
+    /// memory, on a plan and streaming (64 KiB and 7-byte reads), the
+    /// output equals the serial stream's decode exactly — `X` positions
+    /// included — at every K, segment size and thread count.
+    #[test]
+    fn in_place_strict_decode_equals_the_serial_decode(stream in arb_stream(500)) {
+        for k in K_DIFF {
+            let encoded = Encoder::new(k).unwrap().encode_stream(&stream);
+            let serial = DecodeSession::new().decode(&encoded).unwrap();
+            for seg in in_place_sweeps(k) {
+                let bytes = engine(1, seg).encode_frame(k, &stream).unwrap();
+                for threads in [1usize, 2, 3, 8] {
+                    let eng = engine(threads, seg);
+                    prop_assert_eq!(
+                        &eng.decode_frame(&bytes).unwrap(),
+                        &serial,
+                        "decode_frame K={} seg={} threads={}", k, seg, threads
+                    );
+                    let plan = eng.build_plan(&bytes).unwrap();
+                    prop_assert_eq!(
+                        &eng.execute_plan(&plan, Policy::Strict).unwrap().trits,
+                        &serial,
+                        "execute_plan K={} seg={} threads={}", k, seg, threads
+                    );
+                    for chunk in [64 * 1024, 7] {
+                        let mut reader = FrameReader::new(Dribble { bytes: &bytes, chunk });
+                        prop_assert_eq!(
+                            &eng.decode_stream_reader(&mut reader).unwrap(),
+                            &serial,
+                            "stream K={} seg={} threads={} chunk={}", k, seg, threads, chunk
+                        );
                     }
                 }
             }

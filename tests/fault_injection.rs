@@ -1007,6 +1007,40 @@ mod failpoints {
         assert_eq!(diffs, vec![0], "torn write must flip exactly trit 0");
     }
 
+    /// The torn write flips its own segment's first trit also where that
+    /// trit shares an output word with the segment before it: 40-trit
+    /// segments start inside words, so strict decode writes their first
+    /// trits into edge words it merges after the join.
+    #[test]
+    fn torn_write_flips_a_first_trit_inside_a_word() {
+        let stream = SyntheticProfile::new("torn", 24, 64, 0.72)
+            .generate(24)
+            .as_stream()
+            .clone();
+        let build = |threads: usize| Engine::builder().threads(threads).segment_bits(40);
+        let frame = build(1).build().encode_frame(8, &stream).unwrap();
+        let clean_out = build(1).build().decode_frame(&frame).unwrap();
+        for threads in [1usize, 3] {
+            for seg in [1usize, 2, 7] {
+                let point = seg_point(Some(seg), Action::Corrupt);
+                let torn = build(threads)
+                    .failpoint(point)
+                    .build()
+                    .decode_frame(&frame)
+                    .unwrap();
+                let diffs: Vec<usize> = (0..torn.len())
+                    .filter(|&i| torn.get(i) != clean_out.get(i))
+                    .collect();
+                assert_eq!(diffs, vec![40 * seg], "threads {threads}, segment {seg}");
+                let flipped = match clean_out.get(40 * seg) {
+                    Some(Trit::Zero) => Trit::One,
+                    _ => Trit::Zero,
+                };
+                assert_eq!(torn.get(40 * seg), Some(flipped));
+            }
+        }
+    }
+
     /// A deadline that trips while the last intact segment decodes
     /// cancels the parity-group rebuild queued behind it: the damaged
     /// segment erases under its own `BadCrc`, neither `Cancelled` nor
