@@ -245,10 +245,13 @@ where
                 },
             );
             // The catch_unwind here is the panic-isolation boundary: a
-            // panicking job poisons only slot `job`.
-            let start = std::time::Instant::now();
+            // panicking job poisons only slot `job`. The busy time is
+            // read off the clock only while telemetry can publish it.
+            let start = ninec_obs::runtime_enabled().then(std::time::Instant::now);
             let out = run_caught(|| f(job));
-            busy += start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+            if let Some(start) = start {
+                busy += start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+            }
             let out = match out {
                 Ok(v) => JobOutcome::Done(v),
                 Err(p) => {
