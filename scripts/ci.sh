@@ -112,10 +112,12 @@ NINEC_THREADS=8 cargo test -q
 
 # The vendored proptest runs 64 cases per property by default. The
 # codec's differential suites (word encoder against the scalar
-# reference at every K and case policy, chunked against one-shot, and
-# the telemetry counters against the stats) get 1024.
+# reference at every K and case policy, chunked against one-shot, the
+# telemetry counters against the stats, and the engine's parallel and
+# in-place decodes against the serial stream) get 1024.
 echo "==> codec differentials (PROPTEST_CASES=1024)"
-PROPTEST_CASES=1024 cargo test -q --test streaming --test obs_differential
+PROPTEST_CASES=1024 cargo test -q --test streaming --test obs_differential \
+    --test engine_differential
 
 # The root `cargo test` runs only the ninec-suite facade. Run the member
 # crates' own tests (core's engine units, serve's service, chaos and soak
