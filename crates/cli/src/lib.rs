@@ -29,10 +29,12 @@ use ninec::session::DecodeSession;
 use ninec_atpg::generate::{generate_tests, AtpgConfig};
 use ninec_circuit::bench::parse_bench;
 use ninec_decompressor::verilog::decoder_verilog;
+use ninec_obs::{catalogue, EventKind};
 use ninec_testdata::cube::TestSet;
 use ninec_testdata::fill::{fill_trits, FillStrategy};
 use ninec_testdata::gen::{mintest_profile, SyntheticProfile};
 use ninec_testdata::stats::TestSetStats;
+use std::collections::HashMap;
 use std::fmt;
 use std::fs;
 use std::io::Write;
@@ -298,8 +300,11 @@ GLOBAL FLAGS (any command):
                         registry (counters, gauges, histograms) in
                         Prometheus text exposition format (text or prom)
                         or as a JSON document
-    --trace-spans       also print the span-timer trace (one line per
-                        timed region, indented by nesting depth)
+    --trace-spans       also print the command's spans from the flight
+                        recorder: its own span and every span under it
+                        (worker jobs included), one line each with its
+                        nanoseconds, indented by nesting depth; only
+                        spans the recorder still holds are listed
     --trace <file>      write the flight-recorder event trace to <file>
                         after the command (even when it fails): Chrome
                         trace-event JSON loadable in chrome://tracing or
@@ -317,20 +322,21 @@ GLOBAL FLAGS (any command):
 /// Returns [`CliError`] for bad arguments or failing operations.
 pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let (args, global) = extract_global_opts(args)?;
-    if global.trace_spans {
-        ninec_obs::set_trace_spans(true);
-    }
     let mut it = args.iter();
     let command = it
         .next()
         .ok_or_else(|| CliError::Usage("no command".into()))?;
     let rest: Vec<String> = it.cloned().collect();
-    let result = {
-        // One span per invocation so `--trace-spans` shows the library
-        // spans (encode_chunked, decode_stream, ...) nested under the
-        // command that triggered them.
-        let _span = ninec_obs::span(command_span_name(command));
-        match command.as_str() {
+    let span = catalogue::CLI_COMMAND_SPANS
+        .iter()
+        .find(|(word, _)| word == command)
+        .map_or(catalogue::SPAN_CLI, |&(_, span)| span);
+    let (result, root) = {
+        // One span per invocation: `--trace-spans` lists it with the
+        // library spans (encode_chunked, job, ...) recorded under it.
+        let _span = span.start();
+        let root = ninec_obs::trace_context().1;
+        let result = match command.as_str() {
             "compress" => compress(&rest, out),
             "decompress" => decompress(&rest, out),
             "info" => info(&rest, out),
@@ -350,8 +356,10 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
                 Ok(())
             }
             other => Err(CliError::Usage(format!("unknown command {other:?}"))),
-        }
+        };
+        (result, root)
     };
+    let mut drained = None;
     if let Some(path) = &global.trace {
         // Drain the flight recorder to the file even when the command
         // failed — a failing decode is exactly when the timeline matters.
@@ -365,25 +373,18 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         if let (true, Err(e)) = (result.is_ok(), wrote) {
             return Err(CliError::Io(e));
         }
+        drained = Some(events);
     }
+    result?;
     if global.trace_spans {
-        // Drain even on error so a failed run doesn't leak events into
-        // the next invocation of a long-lived process (e.g. the tests).
-        let spans = ninec_obs::take_spans();
-        ninec_obs::set_trace_spans(false);
-        result?;
+        // A snapshot, not a drain: a drain would take other threads'
+        // events, such as a concurrent command's worker spans.
+        let events = drained.unwrap_or_else(ninec_obs::snapshot_trace);
+        let spans = span_listing(&events, root);
         writeln!(out, "# spans ({} events)", spans.len())?;
-        for ev in &spans {
-            writeln!(
-                out,
-                "{:>12} ns  {}{}",
-                ev.nanos,
-                "  ".repeat(ev.depth),
-                ev.name
-            )?;
+        for (nanos, depth, name) in spans {
+            writeln!(out, "{nanos:>12} ns  {}{name}", "  ".repeat(depth))?;
         }
-    } else {
-        result?;
     }
     match global.stats {
         None => {}
@@ -395,25 +396,46 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Static span label for a command (span names are `&'static str`).
-fn command_span_name(command: &str) -> &'static str {
-    match command {
-        "compress" => "cli_compress",
-        "decompress" => "cli_decompress",
-        "info" => "cli_info",
-        "archive" => "cli_archive",
-        "extract" => "cli_extract",
-        "scrub" => "cli_scrub",
-        "generate" => "cli_generate",
-        "atpg" => "cli_atpg",
-        "compare" => "cli_compare",
-        "rtl" => "cli_rtl",
-        "trace" => "cli_trace",
-        "serve" => "cli_serve",
-        "client" => "cli_client",
-        "chaos-proxy" => "cli_chaos_proxy",
-        _ => "cli",
+/// The `--trace-spans` listing: recorder span `root` and every span
+/// under it whose start and end `events` hold, in start order, as
+/// `(nanoseconds, depth, name)`. Depth counts the parent links down
+/// from `root`; `root` is `0` when the recorder did not take it.
+fn span_listing(events: &[ninec_obs::TraceEvent], root: u64) -> Vec<(u64, usize, &'static str)> {
+    if root == 0 {
+        return Vec::new();
     }
+    // Depth by span id. Seeded with the root, so its children still
+    // list if the ring evicted the root's own start.
+    let mut depth = HashMap::from([(root, 0usize)]);
+    // Per listed span: start stamp, duration once ended, depth, name.
+    let mut spans: Vec<(u64, Option<u64>, usize, &'static str)> = Vec::new();
+    let mut open = HashMap::new();
+    for ev in events {
+        match ev.kind {
+            EventKind::SpanStart => {
+                let d = if ev.span == root {
+                    0
+                } else if let Some(&d) = depth.get(&ev.parent) {
+                    d + 1
+                } else {
+                    continue;
+                };
+                depth.insert(ev.span, d);
+                open.insert(ev.span, spans.len());
+                spans.push((ev.nanos, None, d, ev.name));
+            }
+            EventKind::SpanEnd => {
+                if let Some(i) = open.remove(&ev.span) {
+                    spans[i].1 = Some(ev.nanos.saturating_sub(spans[i].0));
+                }
+            }
+            EventKind::Instant => {}
+        }
+    }
+    spans
+        .into_iter()
+        .filter_map(|(_, nanos, d, name)| Some((nanos?, d, name)))
+        .collect()
 }
 
 /// Output format for `--stats`.

@@ -109,7 +109,7 @@ impl DecodeAudit {
         // seq order, so later pairs overwrite earlier attempts.
         let mut open: HashMap<u64, (u32, u32, u64)> = HashMap::new();
         for ev in ninec_obs::snapshot_trace() {
-            if ev.trace != trace || ev.name != "segment_decode" {
+            if ev.trace != trace || ev.name != ninec_obs::catalogue::SPAN_SEGMENT_DECODE.name() {
                 continue;
             }
             match ev.kind {

@@ -236,8 +236,7 @@ where
                 let _ = slots[job].set(JobOutcome::Cancelled);
                 continue;
             }
-            let _job_span = ninec_obs::trace_span_scope(
-                "job",
+            let _job_span = ninec_obs::catalogue::SPAN_JOB.start_at(
                 ninec_obs::NO_SEGMENT,
                 ninec_obs::TracePayload::Job {
                     index: job as u32,

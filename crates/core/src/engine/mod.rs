@@ -598,8 +598,7 @@ impl Engine {
         table: &DecodeTable,
         mut out: O,
     ) -> SegmentDecode<O::Output> {
-        let _seg_span = ninec_obs::trace_span_scope(
-            "segment_decode",
+        let _seg_span = catalogue::SPAN_SEGMENT_DECODE.start_at(
             u32::try_from(i).unwrap_or(u32::MAX),
             ninec_obs::TracePayload::None,
         );

@@ -327,8 +327,7 @@ pub(crate) fn execute(
                 return StageOut::Decoded(engine.decode_one_segment(seg, *s, &table, out));
             }
             let group = damaged_groups[i - boundary];
-            let _grp_span = ninec_obs::trace_span_scope(
-                "repair_group",
+            let _grp_span = catalogue::SPAN_REPAIR_GROUP.start_at(
                 ninec_obs::NO_SEGMENT,
                 ninec_obs::TracePayload::Group {
                     group: u32::try_from(group).unwrap_or(u32::MAX),

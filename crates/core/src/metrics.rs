@@ -1,12 +1,9 @@
-//! Metric names and publishing helpers for the codec's telemetry.
+//! Publishing helpers for the codec's telemetry.
 //!
 //! Every metric the `ninec` crate emits into the [`ninec_obs::global()`]
 //! registry is an entry of the typed [`ninec_obs::catalogue`], which
-//! resolves each cell once, on its first publish. The name constants
-//! here are those entries' names, kept so exporter consumers (CLI
-//! `--stats`, the `benchmark/` per-layer run,
-//! `tests/plan_scan_passes.rs`) can read metrics by name without string
-//! drift.
+//! resolves each cell once, on its first publish; readers take a name
+//! from the same entry (`catalogue::FRAME_SCAN_PASSES.name()`).
 //!
 //! Publishing is *once per call*: the streaming encoder/decoder tally
 //! into plain local structs on the hot path, segment jobs hand their
@@ -21,41 +18,6 @@ use crate::code::{CodeTable, ALL_CASES};
 use crate::encode::EncodeStats;
 use ninec_obs::catalogue::{self, CounterDef, HistogramDef};
 use ninec_obs::SampleBatch;
-
-/// Counter: total `K`-bit blocks encoded.
-pub const ENCODE_BLOCKS: &str = catalogue::ENCODE_BLOCKS.name();
-/// Counter: total encoded bits `|T_E|` emitted.
-pub const ENCODE_BITS: &str = catalogue::ENCODE_BITS.name();
-/// Counter: total source symbols `|T_D|` consumed.
-pub const ENCODE_SOURCE_BITS: &str = catalogue::ENCODE_SOURCE_BITS.name();
-/// Counter: don't-cares that survived into verbatim payload.
-pub const ENCODE_LEFTOVER_X: &str = catalogue::ENCODE_LEFTOVER_X.name();
-/// Counter name for one case's hits: `ninec.encode.case.C1` … `.C9`.
-#[must_use]
-pub fn case_counter_name(index: usize) -> String {
-    catalogue::ENCODE_CASES[index].name().to_owned()
-}
-/// Histogram: per-block encoded size (codeword + payload) in bits.
-pub const ENCODE_BLOCK_BITS: &str = catalogue::ENCODE_BLOCK_BITS.name();
-/// Histogram: leftover-X density per run, in percent of `|T_D|`.
-pub const ENCODE_LX_PCT: &str = catalogue::ENCODE_LX_PCT.name();
-/// Histogram: encoder throughput per run, in Mbit/s of source stream.
-pub const ENCODE_THROUGHPUT: &str = catalogue::ENCODE_THROUGHPUT.name();
-
-/// Counter: jobs completed by executor workers — segment encodes, decodes,
-/// repair and salvage jobs — at every thread count, the caller included.
-/// Each worker flushes its tally once, at the end of its job loop.
-pub const ENGINE_SEGMENTS: &str = catalogue::ENGINE_SEGMENTS.name();
-/// Histogram: wall-clock nanoseconds spent encoding one segment.
-pub const ENGINE_SEG_ENCODE_NS: &str = catalogue::ENGINE_SEG_ENCODE_NS.name();
-/// Histogram: wall-clock nanoseconds spent decoding one segment.
-pub const ENGINE_SEG_DECODE_NS: &str = catalogue::ENGINE_SEG_DECODE_NS.name();
-/// Counter name for one executor worker's cumulative job run time:
-/// `ninec.engine.worker.<i>.busy_ns`.
-#[must_use]
-pub fn worker_busy_ns_name(worker: usize) -> String {
-    catalogue::worker_busy_ns_name(worker)
-}
 
 /// Flushes one executor worker's tally for one executor run: the jobs it
 /// completed and its cumulative wall-clock job time — the Fig 4c
@@ -81,35 +43,6 @@ pub(crate) fn publish_samples(hist: HistogramDef, samples: &SampleBatch) {
     }
 }
 
-/// Counter: 9CSF CRC mismatches (file-header or segment) seen on a
-/// frame's main parse or scan walk. Resync probes never count: they are
-/// expected to fail.
-pub const FRAME_CRC_FAILURES: &str = catalogue::FRAME_CRC_FAILURES.name();
-/// Counter: full header/CRC scan passes over a frame body, one per
-/// [`crate::engine::FramePlan`] build. One plan-then-execute decode —
-/// strict, repair or salvage, or the whole ladder sharing one plan —
-/// costs exactly one pass; the pre-plan ladder cost up to three.
-pub const FRAME_SCAN_PASSES: &str = catalogue::FRAME_SCAN_PASSES.name();
-/// Counter: frames or segments rejected by a
-/// [`crate::engine::DecodeLimits`] ceiling before any allocation happened.
-pub const FRAME_LIMIT_REJECTIONS: &str = catalogue::FRAME_LIMIT_REJECTIONS.name();
-/// Counter: byte positions probed for the next valid segment after
-/// damage (plan walk and streaming reader).
-pub const FRAME_RESYNC_PROBES: &str = catalogue::FRAME_RESYNC_PROBES.name();
-/// Counter: bytes those probes folded through the CRC kernel, prefix
-/// index growth included — linear in the damaged span, not in the
-/// payload sizes the probed headers claim.
-pub const FRAME_RESYNC_CRC_BYTES: &str = catalogue::FRAME_RESYNC_CRC_BYTES.name();
-/// Counter: segments recovered byte-identically by salvage-mode decode
-/// from frames that contained damage, once per salvage run (clean
-/// frames record nothing).
-pub const ENGINE_SALVAGED_SEGMENTS: &str = catalogue::ENGINE_SALVAGED_SEGMENTS.name();
-/// Counter: decode worker panics caught by the panic-isolated pool.
-pub const ENGINE_WORKER_PANICS: &str = catalogue::ENGINE_WORKER_PANICS.name();
-/// Counter: segment jobs abandoned because the caller's
-/// [`crate::CancelToken`] tripped (cancel or deadline) mid-decode.
-pub const ENGINE_CANCELLED_JOBS: &str = catalogue::ENGINE_CANCELLED_JOBS.name();
-
 /// Adds `n` to `counter` — the one batched flush of a run's tally.
 /// Skipped while runtime telemetry is off, and when `n == 0`, so a run
 /// that saw nothing registers nothing.
@@ -130,34 +63,6 @@ pub fn publish_resync(probes: usize, crc_bytes: usize) {
     catalogue::FRAME_RESYNC_CRC_BYTES.add(crc_bytes as u64);
 }
 
-/// Counter: damaged segments rebuilt byte-exactly by GF(256) erasure
-/// repair (frame v3 parity groups) that the repair report keeps, i.e.
-/// its [`DamageReason::RepairedBy`](crate::engine::DamageReason::RepairedBy)
-/// entries; a rebuild that is then erased (it overshoots the header's
-/// source-length total, or fails to decode) does not count. Once per
-/// repair run, nothing recorded when no repair happened.
-pub const ECC_REPAIRED_SEGMENTS: &str = catalogue::ECC_REPAIRED_SEGMENTS.name();
-/// Counter: parity bits emitted by v3 frame encodes (parity segment
-/// headers + shard payloads, in bits).
-pub const ECC_PARITY_BITS: &str = catalogue::ECC_PARITY_BITS.name();
-/// Counter: damaged segments the repair rung could *not* reconstruct
-/// (over-budget erasures, dead parity, failed re-CRC) — these fell
-/// through to salvage X-erasure.
-pub const ECC_REPAIR_FAILURES: &str = catalogue::ECC_REPAIR_FAILURES.name();
-
-/// Counter: segments whose CRC (and, where grouped, parity) the archive
-/// scrubber walked.
-pub const ARCHIVE_SCRUBBED_SEGMENTS: &str = catalogue::ARCHIVE_SCRUBBED_SEGMENTS.name();
-/// Counter: rotted archive segments rebuilt byte-exactly from parity and
-/// rewritten in place by the scrubber.
-pub const ARCHIVE_REPAIRED_SEGMENTS: &str = catalogue::ARCHIVE_REPAIRED_SEGMENTS.name();
-/// Counter: archive segments beyond the parity budget — unreadable and
-/// unrecoverable.
-pub const ARCHIVE_LOST_SEGMENTS: &str = catalogue::ARCHIVE_LOST_SEGMENTS.name();
-/// Counter: segment appends satisfied by the content-addressed dedup
-/// table instead of new data-file bytes, once per archive append.
-pub const ARCHIVE_DEDUP_HITS: &str = catalogue::ARCHIVE_DEDUP_HITS.name();
-
 /// Flushes one scrub pass's tallies (segments walked / repaired / lost)
 /// into the global registry — one batched flush per scrub.
 pub fn publish_archive_scrub(scrubbed: u64, repaired: u64, lost: u64) {
@@ -172,15 +77,6 @@ pub fn publish_archive_scrub(scrubbed: u64, repaired: u64, lost: u64) {
         catalogue::ARCHIVE_LOST_SEGMENTS.add(lost);
     }
 }
-
-/// Counter: decode runs completed.
-pub const DECODE_RUNS: &str = catalogue::DECODE_RUNS.name();
-/// Counter: blocks decoded.
-pub const DECODE_BLOCKS: &str = catalogue::DECODE_BLOCKS.name();
-/// Counter: compressed bits consumed.
-pub const DECODE_BITS_IN: &str = catalogue::DECODE_BITS_IN.name();
-/// Counter: symbols emitted (clipped to `source_len`).
-pub const DECODE_SYMBOLS_OUT: &str = catalogue::DECODE_SYMBOLS_OUT.name();
 
 /// The `ninec.encode.*` telemetry of one call's encoding runs, gathered
 /// run by run and published once.
@@ -334,18 +230,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn case_counter_names_are_c1_to_c9() {
-        assert_eq!(case_counter_name(0), "ninec.encode.case.C1");
-        assert_eq!(case_counter_name(8), "ninec.encode.case.C9");
-    }
-
-    #[test]
-    fn worker_counter_names_are_indexed() {
-        assert_eq!(worker_busy_ns_name(0), "ninec.engine.worker.0.busy_ns");
-        assert_eq!(worker_busy_ns_name(7), "ninec.engine.worker.7.busy_ns");
-    }
-
-    #[test]
     fn publish_encode_matches_stats() {
         // Exercise the publishing path; exact-count assertions live in the
         // isolated differential suite (tests/obs_differential.rs at the
@@ -359,7 +243,9 @@ mod tests {
         };
         publish_encode(&stats, 48, &table, 8);
         let snap = ninec_obs::snapshot();
-        assert!(snap.counter(ENCODE_BLOCKS).unwrap_or(0) >= 6);
-        assert!(snap.histogram(ENCODE_BLOCK_BITS).is_some());
+        assert!(snap.counter(catalogue::ENCODE_BLOCKS.name()).unwrap_or(0) >= 6);
+        assert!(snap
+            .histogram(catalogue::ENCODE_BLOCK_BITS.name())
+            .is_some());
     }
 }

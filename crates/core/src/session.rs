@@ -261,11 +261,7 @@ impl DecodeSession {
             let trace = ninec_obs::begin_trace();
             let result = {
                 // The whole ladder under one `decode_frame` span.
-                let _frame_span = ninec_obs::trace_span_scope(
-                    "decode_frame",
-                    ninec_obs::NO_SEGMENT,
-                    ninec_obs::TracePayload::None,
-                );
+                let _frame_span = ninec_obs::catalogue::SPAN_DECODE_FRAME.start();
                 self.run_ladder(bytes, policy)
             };
             // Flush on every exit: DecodeError included.

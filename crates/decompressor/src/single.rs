@@ -145,7 +145,7 @@ impl SingleScanDecoder {
         ate_bits: &BitVec,
         out_len: usize,
     ) -> Result<DecompressionTrace, DecompressError> {
-        let _span = ninec_obs::span("decomp_single_run");
+        let _span = ninec_obs::catalogue::SPAN_DECOMP_SINGLE_RUN.start();
         let mut ate = AteChannel::new(ate_bits.clone());
         let mut trace = DecompressionTrace {
             scan_out: BitVec::with_capacity(out_len + self.k),

@@ -44,7 +44,8 @@ pub fn bucket_upper(i: usize) -> u64 {
 pub struct HistogramSnapshot {
     /// Total number of recorded values.
     pub count: u64,
-    /// Sum of all recorded values (saturating).
+    /// Sum of all recorded values, wrapping on overflow (each record
+    /// adds with a wrapping `fetch_add`).
     pub sum: u64,
     /// Smallest recorded value, `None` when empty.
     pub min: Option<u64>,

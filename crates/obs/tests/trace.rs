@@ -6,7 +6,8 @@
 //! buffers), so every test that drains it holds `LOCK` and filters by
 //! its own trace id.
 
-use ninec_obs::{EventKind, RungKind, TracePayload, NO_SEGMENT, THREAD_RING_CAPACITY};
+use ninec_obs::catalogue::{SPAN_DECODE_FRAME, SPAN_REPAIR_GROUP, SPAN_SEGMENT_DECODE};
+use ninec_obs::{EventKind, RungKind, TracePayload, THREAD_RING_CAPACITY};
 use std::sync::{Mutex, MutexGuard};
 use std::thread;
 
@@ -62,9 +63,9 @@ fn spans_nest_and_carry_the_worker_stamp() {
     let prev = ninec_obs::set_trace_worker(7);
 
     {
-        let _outer = ninec_obs::trace_span_scope("outer", NO_SEGMENT, TracePayload::None);
+        let _outer = SPAN_DECODE_FRAME.start();
         ninec_obs::trace_instant("tick", 3, RungKind::Strict, TracePayload::None);
-        let _inner = ninec_obs::trace_span_scope("inner", 3, TracePayload::None);
+        let _inner = SPAN_SEGMENT_DECODE.start_at(3, TracePayload::None);
     }
 
     ninec_obs::set_trace_worker(prev);
@@ -73,15 +74,16 @@ fn spans_nest_and_carry_the_worker_stamp() {
         .filter(|e| e.trace == trace)
         .collect();
 
+    let (outer, inner) = (SPAN_DECODE_FRAME.name(), SPAN_SEGMENT_DECODE.name());
     let names: Vec<(&str, EventKind)> = events.iter().map(|e| (e.name, e.kind)).collect();
     assert_eq!(
         names,
         vec![
-            ("outer", EventKind::SpanStart),
+            (outer, EventKind::SpanStart),
             ("tick", EventKind::Instant),
-            ("inner", EventKind::SpanStart),
-            ("inner", EventKind::SpanEnd),
-            ("outer", EventKind::SpanEnd),
+            (inner, EventKind::SpanStart),
+            (inner, EventKind::SpanEnd),
+            (outer, EventKind::SpanEnd),
         ]
     );
     let outer_span = events[0].span;
@@ -102,12 +104,12 @@ fn kill_switch_drops_events_but_still_closes_open_spans() {
     let trace = ninec_obs::begin_trace();
 
     {
-        let _open = ninec_obs::trace_span_scope("open", NO_SEGMENT, TracePayload::None);
+        let _open = SPAN_DECODE_FRAME.start();
         ninec_obs::set_trace_enabled(false);
         // Dropped: the switch is off.
         ninec_obs::trace_instant("lost", 0, RungKind::None, TracePayload::None);
         // Inert scope: no start, so no end either.
-        let _inert = ninec_obs::trace_span_scope("inert", NO_SEGMENT, TracePayload::None);
+        let _inert = SPAN_REPAIR_GROUP.start();
         // `_open` drops here: its SpanEnd is recorded even though the
         // switch flipped mid-span, keeping start/end pairs balanced.
     }
@@ -117,10 +119,11 @@ fn kill_switch_drops_events_but_still_closes_open_spans() {
         .into_iter()
         .filter(|e| e.trace == trace)
         .collect();
+    let open = SPAN_DECODE_FRAME.name();
     let names: Vec<(&str, EventKind)> = events.iter().map(|e| (e.name, e.kind)).collect();
     assert_eq!(
         names,
-        vec![("open", EventKind::SpanStart), ("open", EventKind::SpanEnd),]
+        vec![(open, EventKind::SpanStart), (open, EventKind::SpanEnd),]
     );
     ninec_obs::set_trace_context(0, 0);
 }
@@ -133,7 +136,7 @@ fn worker_threads_inherit_the_captured_context() {
 
     let parent_span;
     {
-        let _submit = ninec_obs::trace_span_scope("submit", NO_SEGMENT, TracePayload::None);
+        let _submit = SPAN_DECODE_FRAME.start();
         let ctx = ninec_obs::trace_context();
         parent_span = ctx.1;
         assert_eq!(ctx.0, trace);

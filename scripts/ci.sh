@@ -114,10 +114,12 @@ NINEC_THREADS=8 cargo test -q
 # codec's differential suites (word encoder against the scalar
 # reference at every K and case policy, chunked against one-shot, the
 # telemetry counters against the stats, and the engine's parallel and
-# in-place decodes against the serial stream) get 1024.
-echo "==> codec differentials (PROPTEST_CASES=1024)"
+# in-place decodes against the serial stream) get 1024, and so does the
+# recorder's span-pairing property, whose stack discipline every span
+# in the workspace goes through.
+echo "==> codec differentials and span pairing (PROPTEST_CASES=1024)"
 PROPTEST_CASES=1024 cargo test -q --test streaming --test obs_differential \
-    --test engine_differential
+    --test engine_differential --test trace_properties
 
 # The root `cargo test` runs only the ninec-suite facade. Run the member
 # crates' own tests (core's engine units, serve's service, chaos and soak
@@ -188,6 +190,16 @@ grep -q '"ninec.encode.blocks"' "$smokedir/stats.json"
 ./target/release/ninec compress "$smokedir/t.cubes" -o "$smokedir/t.te" \
     --stats text > "$smokedir/stats.txt"
 grep -q '^# TYPE ninec_encode_blocks counter' "$smokedir/stats.txt"
+
+# Span-listing smoke test: --trace-spans lists the command's span, the
+# engine's call-level span under it and the executor's jobs from the
+# flight recorder (same capture-to-file-first rationale as above).
+echo "==> ninec --trace-spans smoke test"
+./target/release/ninec --trace-spans compress "$smokedir/t.cubes" \
+    -o "$smokedir/ts.9cf" --threads 4 --segment-bits 128 > "$smokedir/spans.txt"
+grep -q ' cli_compress$' "$smokedir/spans.txt"
+grep -q ' engine_encode_frame$' "$smokedir/spans.txt"
+grep -q ' job$' "$smokedir/spans.txt"
 
 # Parallel-engine smoke test: a 9CSF frame written with --threads 4 must
 # be byte-identical to the serial one and decompress back losslessly.

@@ -18,7 +18,7 @@
 //! [`StreamEncoder::finish`]: ninec::encode::StreamEncoder::finish
 
 use ninec::encode::Encoder;
-use ninec::metrics;
+use ninec_obs::catalogue;
 use ninec_testdata::trit::{Trit, TritVec};
 use proptest::prelude::*;
 
@@ -27,9 +27,12 @@ use proptest::prelude::*;
 fn registry_counts() -> ([u64; 9], u64) {
     let mut cases = [0u64; 9];
     for (i, slot) in cases.iter_mut().enumerate() {
-        *slot = ninec_obs::counter(&metrics::case_counter_name(i)).get();
+        *slot = ninec_obs::counter(catalogue::ENCODE_CASES[i].name()).get();
     }
-    (cases, ninec_obs::counter(metrics::ENCODE_BLOCKS).get())
+    (
+        cases,
+        ninec_obs::counter(catalogue::ENCODE_BLOCKS.name()).get(),
+    )
 }
 
 fn to_stream(raw: &[u8]) -> TritVec {

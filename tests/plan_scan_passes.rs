@@ -20,7 +20,8 @@
 use ninec::engine::frame::SEGMENT_HEADER_BYTES;
 use ninec::engine::{Archive, DecodeLimits, FrameReader};
 use ninec::session::DecodeSession;
-use ninec::{metrics, Engine, PlanEntry, Policy};
+use ninec::{Engine, PlanEntry, Policy};
+use ninec_obs::catalogue;
 use ninec_testdata::gen::SyntheticProfile;
 use std::sync::Mutex;
 
@@ -41,11 +42,11 @@ impl Counts {
     fn now() -> Self {
         let get = |name| ninec_obs::counter(name).get();
         Counts {
-            scan_passes: get(metrics::FRAME_SCAN_PASSES),
-            crc_failures: get(metrics::FRAME_CRC_FAILURES),
-            limit_rejections: get(metrics::FRAME_LIMIT_REJECTIONS),
-            salvaged_segments: get(metrics::ENGINE_SALVAGED_SEGMENTS),
-            repair_failures: get(metrics::ECC_REPAIR_FAILURES),
+            scan_passes: get(catalogue::FRAME_SCAN_PASSES.name()),
+            crc_failures: get(catalogue::FRAME_CRC_FAILURES.name()),
+            limit_rejections: get(catalogue::FRAME_LIMIT_REJECTIONS.name()),
+            salvaged_segments: get(catalogue::ENGINE_SALVAGED_SEGMENTS.name()),
+            repair_failures: get(catalogue::ECC_REPAIR_FAILURES.name()),
         }
     }
 
@@ -206,7 +207,7 @@ fn engine_segments_count_every_decoded_segment() {
             .filter(|e| matches!(e, PlanEntry::Data { .. }))
             .count() as u64;
         assert!(data > 2, "the frame must span several segments");
-        let segments = || ninec_obs::counter(metrics::ENGINE_SEGMENTS).get();
+        let segments = || ninec_obs::counter(catalogue::ENGINE_SEGMENTS.name()).get();
         let before = segments();
         engine.decode_frame(&frame).expect("clean frame decodes");
         assert_eq!(segments() - before, data, "threads={threads}");
@@ -224,10 +225,10 @@ fn decode_counters_count_runs_blocks_bits_and_symbols() {
     let set = SyntheticProfile::new("decode", 25, 61, 0.72).generate(9);
     let counts = || {
         [
-            metrics::DECODE_RUNS,
-            metrics::DECODE_BLOCKS,
-            metrics::DECODE_BITS_IN,
-            metrics::DECODE_SYMBOLS_OUT,
+            catalogue::DECODE_RUNS.name(),
+            catalogue::DECODE_BLOCKS.name(),
+            catalogue::DECODE_BITS_IN.name(),
+            catalogue::DECODE_SYMBOLS_OUT.name(),
         ]
         .map(|name| ninec_obs::counter(name).get())
     };
@@ -270,8 +271,8 @@ fn decode_counters_count_runs_blocks_bits_and_symbols() {
 fn encode_frame_publishes_only_the_encodes_it_keeps() {
     let _registry = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
     let set = SyntheticProfile::new("encodes", 40, 250, 0.8).generate(3);
-    let samples = || ninec_obs::histogram(metrics::ENGINE_SEG_ENCODE_NS).count();
-    let blocks = || ninec_obs::counter(metrics::ENCODE_BLOCKS).get();
+    let samples = || ninec_obs::histogram(catalogue::ENGINE_SEG_ENCODE_NS.name()).count();
+    let blocks = || ninec_obs::counter(catalogue::ENCODE_BLOCKS.name()).get();
     for threads in [1usize, 3] {
         let engine = Engine::builder()
             .threads(threads)
@@ -308,7 +309,7 @@ fn encode_frame_publishes_only_the_encodes_it_keeps() {
 #[test]
 fn repaired_segments_counts_the_reports_repairs() {
     let _registry = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
-    let repaired = || ninec_obs::counter(metrics::ECC_REPAIRED_SEGMENTS).get();
+    let repaired = || ninec_obs::counter(catalogue::ECC_REPAIRED_SEGMENTS.name()).get();
     let set = SyntheticProfile::new("rung", 10, 80, 0.72).generate(3);
     let stream = set.as_stream();
     let engine = Engine::builder()
@@ -451,7 +452,7 @@ fn a_warm_call_makes_no_registry_lookup() {
         let every_worker_busy = || {
             let counters = ninec_obs::snapshot().counters;
             (0..threads).all(|w| {
-                let name = metrics::worker_busy_ns_name(w);
+                let name = catalogue::worker_busy_ns_name(w);
                 counters.iter().any(|(n, _)| *n == name)
             })
         };

@@ -9,12 +9,13 @@
 
 use ninec::engine::frame::{self, HEADER_BYTES, SEGMENT_HEADER_BYTES};
 use ninec::engine::{FrameReader, StreamItem};
-use ninec::{metrics, Engine, PlanEntry};
+use ninec::{Engine, PlanEntry};
+use ninec_obs::catalogue;
 
 fn counters() -> (u64, u64) {
     (
-        ninec_obs::counter(metrics::FRAME_RESYNC_PROBES).get(),
-        ninec_obs::counter(metrics::FRAME_RESYNC_CRC_BYTES).get(),
+        ninec_obs::counter(catalogue::FRAME_RESYNC_PROBES.name()).get(),
+        ninec_obs::counter(catalogue::FRAME_RESYNC_CRC_BYTES.name()).get(),
     )
 }
 

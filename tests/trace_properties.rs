@@ -9,7 +9,8 @@
 //! The ops run on one thread, so the recorder's per-thread stack
 //! discipline is exactly what's under test.
 
-use ninec_obs::{EventKind, RungKind, TracePayload, NO_SEGMENT};
+use ninec_obs::catalogue::SPAN_DECODE_FRAME;
+use ninec_obs::{EventKind, RungKind, TracePayload};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -17,15 +18,11 @@ use std::collections::HashMap;
 /// opens a nested span (depth-capped), `2` closes the innermost one,
 /// `3`/`4` records an instant, anything else is a no-op.
 fn run_ops(ops: &[u8]) {
-    let mut stack: Vec<ninec_obs::TraceScope> = Vec::new();
+    let mut stack: Vec<ninec_obs::Span> = Vec::new();
     for &op in ops {
         match op {
             0 | 1 if stack.len() < 6 => {
-                stack.push(ninec_obs::trace_span_scope(
-                    "span",
-                    NO_SEGMENT,
-                    TracePayload::None,
-                ));
+                stack.push(SPAN_DECODE_FRAME.start());
             }
             2 => {
                 stack.pop();
