@@ -717,6 +717,20 @@ fn engine_from_opts(opts: &Opts) -> Engine {
     builder.build()
 }
 
+/// The decode session of the frame verbs (`decompress`, `info`,
+/// `trace`): `--threads` and the `--max-segments` /
+/// `--max-total-alloc` ceilings.
+fn session_from_opts(opts: &Opts) -> DecodeSession {
+    let mut session = DecodeSession::new();
+    if let Some(threads) = opts.threads {
+        session = session.threads(threads);
+    }
+    if let Some(limits) = limits_from_opts(opts) {
+        session = session.limits(limits);
+    }
+    session
+}
+
 /// Tightened hostile-input ceilings from `--max-segments` /
 /// `--max-total-alloc`, or `None` when neither flag was given.
 /// Violations surface as typed `LimitExceeded` failures (exit 3),
@@ -913,13 +927,7 @@ fn decompress(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         // -> salvage (only kept when --salvage allows lossy output) —
         // every rung executes against ONE plan, built by a single
         // header/CRC scan pass.
-        let mut session = DecodeSession::new();
-        if let Some(threads) = opts.threads {
-            session = session.threads(threads);
-        }
-        if let Some(limits) = limits_from_opts(&opts) {
-            session = session.limits(limits);
-        }
+        let session = session_from_opts(&opts);
         let plan = session
             .plan(&bytes)
             .map_err(|e| CliError::Failed(format!("{input}: {e}")))?;
@@ -1084,7 +1092,7 @@ fn info(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         // past damaged segments, so `info` prints the per-segment decode
         // plan (including the damage map) instead of dying on the first
         // bad CRC.
-        let plan = DecodeSession::new()
+        let plan = session_from_opts(&opts)
             .plan(&bytes)
             .map_err(|e| CliError::Failed(format!("{input}: {e}")))?;
         let compressed_bits = bytes.len() * 8;
@@ -1504,10 +1512,7 @@ fn trace_cmd(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             "{input}: not a 9CSF frame (trace replays binary .9cf frames)"
         )));
     }
-    let mut session = DecodeSession::new().audit(true);
-    if let Some(threads) = opts.threads {
-        session = session.threads(threads);
-    }
+    let session = session_from_opts(&opts).audit(true);
     let policy = if opts.no_repair {
         Policy::Salvage
     } else {
@@ -3342,6 +3347,16 @@ mod tests {
         ]);
         assert!(matches!(err, CliError::Failed(_)), "{err:?}");
         assert_eq!(err.exit_code(), 3);
+        // `info` and `trace` on the frame build their session from the
+        // same flags.
+        for verb in ["info", "trace"] {
+            let err = run_err(&[verb, path_str(&frame), "--max-segments", "1"]);
+            assert!(matches!(err, CliError::Failed(_)), "{verb}: {err:?}");
+            assert_eq!(err.exit_code(), 3, "{verb}");
+            let err = run_err(&[verb, path_str(&frame), "--max-total-alloc", "4"]);
+            assert!(matches!(err, CliError::Failed(_)), "{verb}: {err:?}");
+            assert_eq!(err.exit_code(), 3, "{verb}");
+        }
         let err = run_err(&["info", path_str(&arc), "--max-segments", "1"]);
         assert!(matches!(err, CliError::Failed(_)), "{err:?}");
         assert_eq!(err.exit_code(), 3);

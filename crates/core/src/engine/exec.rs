@@ -1,23 +1,17 @@
-//! A reusable, std-only executor with two job priorities.
+//! A reusable, std-only executor.
 //!
 //! The engine's unit of work is a *segment index*: all jobs are known up
 //! front, none spawns new ones, and every job writes exactly one result
-//! slot, returned in job-index order. What the executor adds over a
-//! plain parallel map is a **two-level priority**: every job is
-//! [`Priority::High`] or [`Priority::Low`], and no `Low` job is claimed
-//! while any `High` job is still unclaimed. The decode pipeline uses this
-//! to keep payload decodes (latency-critical, always needed) ahead of
-//! repair/salvage backfill work, and it is the executor a future
+//! slot, returned in job-index order. It is the executor a future
 //! `ninec-serve` can multiplex connections onto.
 //!
-//! Scheduling shape: the claim order is built once — every `High` job in
-//! index order, then every `Low` job in index order — and workers take
-//! the next position from one atomic cursor (`fetch_add`) until the
-//! order runs out. The calling thread runs that loop as worker 0 beside
+//! Scheduling shape: workers take the next job index from one atomic
+//! cursor (`fetch_add`) until the jobs run out, so jobs are claimed in
+//! index order. The calling thread runs that loop as worker 0 beside
 //! `threads − 1` scoped spawns, so `threads = 1` spawns nothing and *is*
-//! the serial path. The priority rule is structural: a worker that
-//! claims a `Low` position has proof that every `High` position was
-//! claimed before it.
+//! the serial path. A caller that needs one kind of work done before
+//! another runs them as two calls: the repair rung rebuilds its damaged
+//! parity groups in one call and decodes every slot in the next.
 //!
 //! Determinism: results are keyed by job index and collected in index
 //! order, so the returned vector is independent of worker interleaving.
@@ -42,12 +36,12 @@
 //! worker index). Jobs publish nothing: each returns its own tallies
 //! with its result, and the calling code publishes their sums once. On
 //! top of the aggregates, every job runs inside a flight-recorder
-//! `"job"` span stamped with the worker id and the job's priority class
-//! — the Fig 4c load imbalance as a reconstructable timeline. Spawned workers inherit the submitting
-//! thread's trace context and flush their ring into the global recorder
-//! at the end of their job loop, so a call's events are all there when
-//! it returns; a caught panic flushes the worker's ring before the
-//! poisoned slot is reported.
+//! `"job"` span stamped with the worker id and the job index — the
+//! Fig 4c load imbalance as a reconstructable timeline. Spawned workers
+//! inherit the submitting thread's trace context and flush their ring
+//! into the global recorder at the end of their job loop, so a call's
+//! events are all there when it returns; a caught panic flushes the
+//! worker's ring before the poisoned slot is reported.
 
 use super::cancel::CancelToken;
 use std::fmt;
@@ -69,7 +63,7 @@ static ACTIVE_JOBS: AtomicUsize = AtomicUsize::new(0);
 /// jobs from entry until *every* slot is merged — which is exactly the
 /// "work still outstanding" signal an admission controller wants:
 /// `ninec-serve` consults it (together with its own decode window) to
-/// decide when to shed repair/salvage backfill under load.
+/// decide when to shed repair and salvage decodes under load.
 #[must_use]
 pub fn active_jobs() -> usize {
     ACTIVE_JOBS.load(Ordering::Relaxed)
@@ -93,18 +87,6 @@ impl Drop for ActiveBatch {
     fn drop(&mut self) {
         ACTIVE_JOBS.fetch_sub(self.jobs, Ordering::Relaxed);
     }
-}
-
-/// Scheduling class of one job. Every `High` job is claimed before any
-/// `Low` job; `Low` jobs are backfill that must never starve the
-/// critical path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Priority {
-    /// Critical-path work (segment decodes): always claimed first.
-    High,
-    /// Backfill work (repair reconstruction, salvage bookkeeping):
-    /// claimed only once every `High` job has been.
-    Low,
 }
 
 /// A caught panic from one executor job, carrying the panic message when
@@ -158,8 +140,8 @@ fn run_caught<T>(thunk: impl FnOnce() -> T) -> Result<T, JobPanic> {
     }
 }
 
-/// Runs `f(0..jobs)` across at most `threads` workers at
-/// [`Priority::High`] and returns the results in job-index order.
+/// Runs `f(0..jobs)` across at most `threads` workers and returns the
+/// results in job-index order.
 ///
 /// # Panics
 ///
@@ -171,7 +153,7 @@ where
     T: Send + Sync,
     F: Fn(usize) -> T + Sync,
 {
-    run_cancellable(threads, jobs, |_| Priority::High, None, f)
+    run_cancellable(threads, jobs, None, f)
         .into_iter()
         .enumerate()
         .map(|(i, out)| match out {
@@ -182,52 +164,42 @@ where
         .collect()
 }
 
-/// Runs `f(0..jobs)` across at most `threads` workers, claiming each job
-/// at `priority(job)`, and returns the results in job-index order — slot
-/// `i` holds [`JobOutcome::Done`]`(f(i))`, or [`JobOutcome::Panicked`]
-/// when `f(i)` panicked.
-///
-/// Priorities affect only *when* a job starts, never the returned
-/// vector: every `High` job is claimed, in index order, before any `Low`
-/// job, and `Low` jobs are claimed in index order too. At `threads = 1`
-/// (or a single job) the calling thread runs them all in that order.
+/// Runs `f(0..jobs)` across at most `threads` workers and returns the
+/// results in job-index order — slot `i` holds
+/// [`JobOutcome::Done`]`(f(i))`, or [`JobOutcome::Panicked`] when `f(i)`
+/// panicked. Jobs are claimed in index order; at `threads = 1` (or a
+/// single job) the calling thread runs them all in that order.
 ///
 /// `cancel` (when given) is checked at the claim boundary: once the
 /// token trips, every job not yet claimed resolves to
 /// [`JobOutcome::Cancelled`] without its closure running, while jobs
 /// already in flight finish normally. A token that is already tripped on
 /// entry yields an all-`Cancelled` vector with zero closure invocations.
-pub fn run_cancellable<T, F, P>(
+pub fn run_cancellable<T, F>(
     threads: usize,
     jobs: usize,
-    priority: P,
     cancel: Option<&CancelToken>,
     f: F,
 ) -> Vec<JobOutcome<T>>
 where
     T: Send + Sync,
     F: Fn(usize) -> T + Sync,
-    P: Fn(usize) -> Priority,
 {
     // Batch-grained load registration: all `jobs` count as outstanding
     // until the index-ordered merge below completes (RAII, unwind-safe).
     let _batch = ActiveBatch::admit(jobs);
-    // The claim order: the `High` jobs (positions `..high`), then the
-    // `Low` jobs, each in index order.
-    let (mut order, low): (Vec<usize>, Vec<usize>) =
-        (0..jobs).partition(|&job| priority(job) == Priority::High);
-    let high = order.len();
-    order.extend(low);
-    // `Relaxed` is enough: the cursor publishes no data (`order` predates
-    // the workers; slots sync through `OnceLock` and the scope join), and
-    // RMWs on one atomic still claim each position exactly once, in order.
+    // `Relaxed` is enough: the cursor publishes no data (slots sync
+    // through `OnceLock` and the scope join), and RMWs on one atomic
+    // still claim each job index exactly once, in order.
     let next = AtomicUsize::new(0);
     let slots: Vec<OnceLock<JobOutcome<T>>> = (0..jobs).map(|_| OnceLock::new()).collect();
     let worker = &|w: usize| {
         let (mut done, mut busy) = (0u64, 0u64);
         loop {
-            let pos = next.fetch_add(1, Ordering::Relaxed);
-            let Some(&job) = order.get(pos) else { break };
+            let job = next.fetch_add(1, Ordering::Relaxed);
+            if job >= jobs {
+                break;
+            }
             // The cancellation boundary: a tripped token turns every
             // job not yet claimed into a `Cancelled` slot, so the cursor
             // runs out at one atomic op per job and the merge below
@@ -238,10 +210,7 @@ where
             }
             let _job_span = ninec_obs::catalogue::SPAN_JOB.start_at(
                 ninec_obs::NO_SEGMENT,
-                ninec_obs::TracePayload::Job {
-                    index: job as u32,
-                    high: pos < high,
-                },
+                ninec_obs::TracePayload::Job { index: job as u32 },
             );
             // The catch_unwind here is the panic-isolation boundary: a
             // panicking job poisons only slot `job`. The busy time is
@@ -260,7 +229,7 @@ where
                     JobOutcome::Panicked(p)
                 }
             };
-            // Each position is claimed exactly once, so the slot is
+            // Each index is claimed exactly once, so the slot is
             // empty; a second set is impossible by construction.
             let _ = slots[job].set(out);
             done += 1;
@@ -292,7 +261,7 @@ where
     slots
         .into_iter()
         .map(|slot| {
-            // Every position was claimed once and filled; an empty slot
+            // Every index was claimed once and filled; an empty slot
             // would mean a worker died outside catch_unwind, which the
             // isolation boundary makes unreachable — but stay total.
             slot.into_inner().unwrap_or_else(|| {
@@ -310,26 +279,10 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
 
-    fn all_high(_: usize) -> Priority {
-        Priority::High
-    }
-
     #[test]
-    fn results_are_index_ordered_regardless_of_priority() {
+    fn results_are_index_ordered() {
         for threads in [1usize, 2, 8] {
-            let out = run_cancellable(
-                threads,
-                37,
-                |i| {
-                    if i % 3 == 0 {
-                        Priority::Low
-                    } else {
-                        Priority::High
-                    }
-                },
-                None,
-                |i| i * i,
-            );
+            let out = run_cancellable(threads, 37, None, |i| i * i);
             let vals: Vec<usize> = out
                 .into_iter()
                 .map(|r| match r {
@@ -342,24 +295,12 @@ mod tests {
     }
 
     #[test]
-    fn every_job_runs_exactly_once_across_priorities() {
+    fn every_job_runs_exactly_once() {
         let hits: Vec<AtomicUsize> = (0..96).map(|_| AtomicUsize::new(0)).collect();
-        let out = run_cancellable(
-            8,
-            96,
-            |i| {
-                if i < 48 {
-                    Priority::High
-                } else {
-                    Priority::Low
-                }
-            },
-            None,
-            |i| {
-                hits[i].fetch_add(1, Ordering::SeqCst);
-                i
-            },
-        );
+        let out = run_cancellable(8, 96, None, |i| {
+            hits[i].fetch_add(1, Ordering::SeqCst);
+            i
+        });
         assert_eq!(out.len(), 96);
         for (i, h) in hits.iter().enumerate() {
             assert_eq!(h.load(Ordering::SeqCst), 1, "job {i}");
@@ -367,106 +308,68 @@ mod tests {
     }
 
     #[test]
-    fn serial_fallback_runs_high_then_low_in_index_order() {
+    fn serial_fallback_runs_jobs_in_index_order() {
         let order = Mutex::new(Vec::new());
-        run_cancellable(
-            1,
-            10,
-            |i| {
-                if i % 2 == 0 {
-                    Priority::Low
-                } else {
-                    Priority::High
-                }
-            },
-            None,
-            |i| order.lock().expect("no poisoned lock").push(i),
-        );
+        run_cancellable(1, 10, None, |i| {
+            order.lock().expect("no poisoned lock").push(i)
+        });
         let order = order.into_inner().expect("no poisoned lock");
-        assert_eq!(order, vec![1, 3, 5, 7, 9, 0, 2, 4, 6, 8]);
+        assert_eq!(order, (0..10).collect::<Vec<_>>());
     }
 
-    /// The starvation guarantee under an oversubscribed pool: at the
-    /// moment any `Low` job starts, every `High` job has started too —
-    /// up to the threads-1 that may sit between their pop and their
-    /// start-log write.
+    /// Jobs are claimed in index order under an oversubscribed pool: at
+    /// the moment any job starts, every lower-indexed job has started
+    /// too — up to the threads-1 that may sit between their claim and
+    /// their start-log write.
     #[test]
-    fn low_jobs_never_overtake_queued_high_jobs_under_stress() {
+    fn jobs_start_in_index_order_under_stress() {
         const THREADS: usize = 8;
-        const HIGH: usize = 200;
-        const LOW: usize = 200;
+        const JOBS: usize = 400;
         for round in 0..10 {
-            let starts = Mutex::new(Vec::with_capacity(HIGH + LOW));
-            let out = run_cancellable(
-                THREADS,
-                HIGH + LOW,
-                |i| {
-                    if i < HIGH {
-                        Priority::High
-                    } else {
-                        Priority::Low
-                    }
-                },
-                None,
-                |i| {
-                    starts.lock().expect("no poisoned lock").push(i);
-                    // Skew the load so workers race each other hard.
-                    if i % 13 == round {
-                        std::thread::sleep(std::time::Duration::from_micros(50));
-                    } else if i % 5 == 0 {
-                        std::thread::yield_now();
-                    }
-                    i
-                },
-            );
+            let starts = Mutex::new(Vec::with_capacity(JOBS));
+            let out = run_cancellable(THREADS, JOBS, None, |i| {
+                starts.lock().expect("no poisoned lock").push(i);
+                // Skew the load so workers race each other hard.
+                if i % 13 == round {
+                    std::thread::sleep(std::time::Duration::from_micros(50));
+                } else if i % 5 == 0 {
+                    std::thread::yield_now();
+                }
+                i
+            });
             assert!(out
                 .iter()
                 .enumerate()
                 .all(|(i, r)| r == &JobOutcome::Done(i)));
             let starts = starts.into_inner().expect("no poisoned lock");
-            assert_eq!(starts.len(), HIGH + LOW, "round {round}");
-            let mut high_started = 0usize;
+            assert_eq!(starts.len(), JOBS, "round {round}");
+            let mut started = vec![false; JOBS];
             for &i in &starts {
-                if i < HIGH {
-                    high_started += 1;
-                } else {
-                    let unstarted = HIGH - high_started;
-                    assert!(
-                        unstarted < THREADS,
-                        "round {round}: low job {i} started with {unstarted} high jobs unstarted"
-                    );
-                }
+                started[i] = true;
+                let unstarted = started[..i].iter().filter(|&&s| !s).count();
+                assert!(
+                    unstarted < THREADS,
+                    "round {round}: job {i} started with {unstarted} lower jobs unstarted"
+                );
             }
         }
     }
 
     #[test]
-    fn a_panicking_low_job_poisons_only_its_slot() {
+    fn a_panicking_job_poisons_only_its_slot() {
         for threads in [1usize, 8] {
-            let out = run_cancellable(
-                threads,
-                16,
-                |i| {
-                    if i >= 12 {
-                        Priority::Low
-                    } else {
-                        Priority::High
-                    }
-                },
-                None,
-                |i| {
-                    if i == 14 {
-                        panic!("backfill boom {i}");
-                    }
-                    i
-                },
-            );
+            let out = run_cancellable(threads, 16, None, |i| {
+                if i == 14 {
+                    panic!("job boom {i}");
+                }
+                i
+            });
             for (i, r) in out.iter().enumerate() {
                 if i == 14 {
                     let JobOutcome::Panicked(p) = r else {
                         panic!("job 14 panicked: {r:?}");
                     };
-                    assert!(p.message.contains("backfill boom 14"), "{p:?}");
+                    assert!(p.message.contains("job boom 14"), "{p:?}");
                 } else {
                     assert_eq!(r, &JobOutcome::Done(i), "threads={threads} job {i}");
                 }
@@ -480,7 +383,7 @@ mod tests {
         // While one of our 12 jobs runs, our batch contributes all 12 to
         // the tally (other tests can only add on top, never subtract our
         // share), so every job must observe at least 12.
-        let seen = run_cancellable(4, 12, all_high, None, |_| active_jobs());
+        let seen = run_cancellable(4, 12, None, |_| active_jobs());
         for r in &seen {
             let &JobOutcome::Done(inside) = r else {
                 panic!("no panics: {r:?}");
@@ -491,7 +394,7 @@ mod tests {
         // tally is shared with concurrently running tests, so wait for it
         // to dip back to the starting floor instead of asserting once: a
         // leaked batch would keep it permanently above.
-        let _ = run_cancellable(2, 4, all_high, None, |i| {
+        let _ = run_cancellable(2, 4, None, |i| {
             if i == 1 {
                 panic!("boom");
             }
@@ -508,8 +411,8 @@ mod tests {
 
     #[test]
     fn zero_jobs_and_single_job_edge_cases() {
-        assert!(run_cancellable(8, 0, all_high, None, |i| i).is_empty());
-        let one = run_cancellable(8, 1, |_| Priority::Low, None, |i| i + 7);
+        assert!(run_cancellable(8, 0, None, |i| i).is_empty());
+        let one = run_cancellable(8, 1, None, |i| i + 7);
         assert_eq!(one[0], JobOutcome::Done(7));
     }
 
@@ -519,7 +422,7 @@ mod tests {
             let ran = AtomicUsize::new(0);
             let token = CancelToken::new();
             token.cancel();
-            let out = run_cancellable(threads, 24, all_high, Some(&token), |_| {
+            let out = run_cancellable(threads, 24, Some(&token), |_| {
                 ran.fetch_add(1, Ordering::SeqCst);
             });
             assert_eq!(out.len(), 24);
@@ -535,7 +438,7 @@ mod tests {
     fn a_mid_batch_cancel_abandons_the_tail_and_retires_the_batch() {
         let floor = active_jobs();
         let token = CancelToken::new();
-        let out = run_cancellable(4, 64, all_high, Some(&token), |i| {
+        let out = run_cancellable(4, 64, Some(&token), |i| {
             if i % 16 == 0 {
                 token.cancel();
             }
@@ -572,14 +475,14 @@ mod tests {
         let token = CancelToken::with_deadline(
             std::time::Instant::now() - std::time::Duration::from_millis(1),
         );
-        let out = run_cancellable(2, 8, all_high, Some(&token), |i| i);
+        let out = run_cancellable(2, 8, Some(&token), |i| i);
         assert!(out.iter().all(|o| matches!(o, JobOutcome::Cancelled)));
     }
 
     #[test]
     fn a_live_token_changes_nothing() {
         let token = CancelToken::after(std::time::Duration::from_secs(3600));
-        let out = run_cancellable(4, 16, all_high, Some(&token), |i| i * 2);
+        let out = run_cancellable(4, 16, Some(&token), |i| i * 2);
         for (i, o) in out.iter().enumerate() {
             assert_eq!(o, &JobOutcome::Done(i * 2));
         }
@@ -607,16 +510,14 @@ mod tests {
 
     #[test]
     fn all_jobs_panicking_still_terminates() {
-        let out = run_cancellable::<usize, _, _>(4, 8, all_high, None, |i| panic!("all down {i}"));
+        let out = run_cancellable::<usize, _>(4, 8, None, |i| panic!("all down {i}"));
         assert_eq!(out.len(), 8);
         assert!(out.iter().all(|r| matches!(r, JobOutcome::Panicked(_))));
     }
 
     #[test]
     fn non_string_panic_payload_is_reported() {
-        let out = run_cancellable::<usize, _, _>(1, 1, all_high, None, |_| {
-            std::panic::panic_any(42usize)
-        });
+        let out = run_cancellable::<usize, _>(1, 1, None, |_| std::panic::panic_any(42usize));
         let JobOutcome::Panicked(p) = &out[0] else {
             panic!("panicked: {:?}", out[0]);
         };

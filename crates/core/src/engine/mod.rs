@@ -89,10 +89,10 @@ use crate::code::CodeTable;
 use crate::decode::{DecodeError, DecodeTable, Decoder};
 use crate::encode::{EncodeStats, EncodeTotals, Encoded, Encoder, InvalidBlockSize};
 use crate::metrics::{DecodeRun, DecodeTally, EncodeTally};
-use crate::stream::{BitCounter, BitSink};
+use crate::stream::BitCounter;
 use ninec_obs::catalogue;
 use ninec_obs::SampleBatch;
-use ninec_testdata::trit::{Trit, TritVec};
+use ninec_testdata::trit::TritVec;
 use std::borrow::Cow;
 use std::fmt;
 
@@ -584,20 +584,19 @@ impl Engine {
     /// Decodes one parsed segment, attributed to index `i`, into `out`
     /// under its `segment_decode` span — the one segment job of every
     /// decode: strict, repair, salvage and streaming. The payload is
-    /// checked once and then decoded from its packed bytes in place;
-    /// strict decode passes its share of the frame's output as `out`,
-    /// repair and salvage a buffer of the segment's own. The job
+    /// checked once and then decoded from its packed bytes in place,
+    /// straight into the segment's share of the frame's output. The job
     /// publishes nothing: its decoder run and latency sample come back
-    /// with its output. Armed [`faultpoint`]s fire here (panic/delay
+    /// with its edge words. Armed [`faultpoint`]s fire here (panic/delay
     /// before the work, corrupt after), which is what makes worker
     /// panics and torn writes deterministically injectable.
-    pub(crate) fn decode_one_segment<O: SegmentSink>(
+    pub(crate) fn decode_one_segment(
         &self,
         seg: &frame::ParsedSegment<'_>,
         i: usize,
         table: &DecodeTable,
-        mut out: O,
-    ) -> SegmentDecode<O::Output> {
+        mut out: plan::InPlace<'_>,
+    ) -> SegmentDecode {
         let _seg_span = catalogue::SPAN_SEGMENT_DECODE.start_at(
             u32::try_from(i).unwrap_or(u32::MAX),
             ninec_obs::TracePayload::None,
@@ -640,45 +639,13 @@ impl Engine {
     }
 }
 
-/// Where one segment job writes its decoded trits: a buffer of the
-/// segment's own ([`TritVec`], repair and salvage) or its share of the
-/// frame's output (strict decode).
-pub(crate) trait SegmentSink: BitSink {
-    /// What the job hands back after a successful decode.
-    type Output;
-
-    /// Flips the first trit written — a zero to one, a one or `X` to
-    /// zero: the `corrupt` fault point's torn write.
-    fn flip_first(&mut self);
-
-    /// The job's output, once every trit is written.
-    fn finish(self) -> Self::Output;
-}
-
-impl SegmentSink for TritVec {
-    type Output = TritVec;
-
-    fn flip_first(&mut self) {
-        if let Some(t) = self.get(0) {
-            let flipped = match t {
-                Trit::Zero => Trit::One,
-                Trit::One | Trit::X => Trit::Zero,
-            };
-            self.set(0, flipped);
-        }
-    }
-
-    fn finish(self) -> TritVec {
-        self
-    }
-}
-
-/// One segment decode job's result: its output, and the telemetry the
-/// call publishes once for all its jobs.
+/// One segment decode job's result: the edge words it shares with its
+/// neighbours, and the telemetry the call publishes once for all its
+/// jobs.
 #[derive(Debug, Clone)]
-pub(crate) struct SegmentDecode<T> {
-    /// The decoded output, or why the segment failed.
-    pub(crate) trits: Result<T, DecodeError>,
+pub(crate) struct SegmentDecode {
+    /// The job's edge words, or why the segment failed.
+    pub(crate) trits: Result<plan::EdgeWords, DecodeError>,
     /// The decoder's run, also when it failed part-way.
     pub(crate) run: DecodeRun,
     /// Latency sample of a successful decode; `None` on failure or with
@@ -686,7 +653,7 @@ pub(crate) struct SegmentDecode<T> {
     pub(crate) nanos: Option<u64>,
 }
 
-impl<T> SegmentDecode<T> {
+impl SegmentDecode {
     /// Adds this job's telemetry to its call's tally.
     pub(crate) fn tally_into(&self, tally: &mut DecodeTally) {
         tally.add_run(self.run);

@@ -18,14 +18,14 @@
 //! [`Policy::Repair`] or [`Policy::Salvage`] **on the same plan** — one
 //! header/CRC pass for the whole ladder, proven by the
 //! `ninec.frame.scan_passes` counter. Every rung, and the streaming
-//! reader, decodes a segment through one segment job,
-//! `Engine::decode_one_segment`, which opens its `segment_decode` span
-//! and writes where its caller says. Strict decode grows the frame's
-//! output once and hands each job the words wholly inside its segment's
-//! trit range, so segments decode straight into the output and only the
-//! words neighbours share are merged after the join. Repair and salvage
-//! give each slot a buffer of its own, because their layout waits on the
-//! parity rebuilds.
+//! reader, decodes its segments through one in-place fan-out,
+//! `decode_in_place`, whose every job is `Engine::decode_one_segment`
+//! under its `segment_decode` span. The caller grows the frame's output
+//! first and gives each job the output position of its first trit; the
+//! job writes the words wholly inside its segment's trit range, and only
+//! the words neighbours share are merged after the join. Strict decode
+//! fails on the first bad slot, while repair and salvage, which fix
+//! their layout after the parity rebuilds, keep a failed slot as `X`.
 //!
 //! The walk itself is the `Walker` step: given the bytes at hand, it
 //! classifies the entry at the walk position into a [`PlanEntry`] — or
@@ -47,12 +47,12 @@
 
 use crate::decode::{DecodeError, DecodeTable};
 use crate::engine::crc::PrefixCrc;
-use crate::engine::exec::{self, JobOutcome, Priority};
+use crate::engine::exec::{self, JobOutcome};
 use crate::engine::frame::{
     self, DamageReason, DecodeLimits, FrameError, ParsedParity, ParsedSegment, Resync,
     StreamHeader, SEGMENT_HEADER_BYTES,
 };
-use crate::engine::{cancel, Engine, SalvageReport, SegmentDecode, SegmentSink};
+use crate::engine::{cancel, Engine, SalvageReport, SegmentDecode};
 use crate::metrics::DecodeTally;
 use crate::stream::{low_bits, BitSink};
 use ninec_obs::catalogue;
@@ -885,32 +885,11 @@ pub(crate) fn build<'a>(
     })
 }
 
-/// Decodes `segs` — each paired with the index its errors, fault points
-/// and `segment_decode` span are attributed to — on the engine's executor
-/// at [`Priority::High`], each into a buffer of its own.
-pub(crate) fn decode_segments(
-    engine: &Engine,
-    segs: &[(usize, ParsedSegment<'_>)],
-    table: &DecodeTable,
-    cancel: Option<&cancel::CancelToken>,
-) -> Vec<JobOutcome<SegmentDecode<TritVec>>> {
-    exec::run_cancellable(
-        engine.threads(),
-        segs.len(),
-        |_| Priority::High,
-        cancel,
-        |j| {
-            let out = TritVec::with_capacity(segs[j].1.source_trits);
-            engine.decode_one_segment(&segs[j].1, segs[j].0, table, out)
-        },
-    )
-}
-
-/// One strict segment job's share of the frame's output, written in
-/// place: the words that lie wholly inside the segment's trit range,
-/// through disjoint `&mut` slices of the output's two planes, and the
-/// at most two edge words it shares with its neighbours, kept here and
-/// OR-ed into the output after the join.
+/// One segment job's share of the frame's output, written in place: the
+/// words that lie wholly inside the segment's trit range, through
+/// disjoint `&mut` slices of the output's two planes, and the at most
+/// two edge words it shares with its neighbours, kept here and OR-ed
+/// into the output after the join.
 ///
 /// Words are counted locally, from the output word holding the
 /// segment's first trit. The whole words are local words `lo..lo +
@@ -918,7 +897,7 @@ pub(crate) fn decode_segments(
 /// local word 0 is then the head edge. The tail edge is the local word
 /// after the whole ones.
 #[derive(Debug)]
-struct InPlace<'o> {
+pub(crate) struct InPlace<'o> {
     care: &'o mut [u64],
     value: &'o mut [u64],
     /// Output trit position of the segment's first trit.
@@ -931,8 +910,13 @@ struct InPlace<'o> {
     edges: [(u64, u64); 2],
 }
 
-/// A strict job's slot: its segment's first output trit and the
-/// output's words wholly inside its trit range, taken once by its job.
+/// One in-place decode job: the index its errors, fault point and
+/// `segment_decode` span carry, its segment, and the output position of
+/// its first trit.
+pub(crate) type Job<'a> = (usize, ParsedSegment<'a>, usize);
+
+/// A job's slot: its segment's first output trit and the output's words
+/// wholly inside its trit range, taken once by its job.
 type Slot<'o> = Mutex<Option<(usize, &'o mut [u64], &'o mut [u64])>>;
 
 /// The edge words of one in-place segment job, as `(output word index,
@@ -960,6 +944,37 @@ impl InPlace<'_> {
                 (care, value)
             }
         }
+    }
+
+    /// Flips the first trit written — a zero to one, a one or `X` to
+    /// zero: the `corrupt` fault point's torn write.
+    pub(crate) fn flip_first(&mut self) {
+        if self.written > 0 {
+            let bit = 1u64 << (self.start % 64);
+            let (care, value) = self.word_mut(0);
+            let zero = *care & !*value & bit != 0;
+            *care |= bit;
+            *value = if zero { *value | bit } else { *value & !bit };
+        }
+    }
+
+    /// The job's edge words, once every trit is written.
+    pub(crate) fn finish(self) -> EdgeWords {
+        // Only the segment's own bits: its neighbours' and those past the
+        // output's end stay zero.
+        let first = self.start % 64;
+        let mask = |word: usize| {
+            let clip = |at: usize| at.clamp(64 * word, 64 * word + 64) - 64 * word;
+            low_bits(clip(first + self.len)) & !low_bits(clip(first))
+        };
+        let tail = self.lo() + self.care.len();
+        let (head_mask, tail_mask) = (mask(0), mask(tail));
+        let [head, last] = self.edges;
+        let word = self.start / 64;
+        EdgeWords([
+            (word, head.0 & head_mask, head.1 & head_mask),
+            (word + tail, last.0 & tail_mask, last.1 & tail_mask),
+        ])
     }
 }
 
@@ -991,38 +1006,6 @@ impl BitSink for InPlace<'_> {
     }
 }
 
-impl SegmentSink for InPlace<'_> {
-    type Output = EdgeWords;
-
-    fn flip_first(&mut self) {
-        if self.written > 0 {
-            let bit = 1u64 << (self.start % 64);
-            let (care, value) = self.word_mut(0);
-            let zero = *care & !*value & bit != 0;
-            *care |= bit;
-            *value = if zero { *value | bit } else { *value & !bit };
-        }
-    }
-
-    fn finish(self) -> EdgeWords {
-        // Only the segment's own bits: its neighbours' and those past the
-        // output's end stay zero.
-        let first = self.start % 64;
-        let mask = |word: usize| {
-            let clip = |at: usize| at.clamp(64 * word, 64 * word + 64) - 64 * word;
-            low_bits(clip(first + self.len)) & !low_bits(clip(first))
-        };
-        let tail = self.lo() + self.care.len();
-        let (head_mask, tail_mask) = (mask(0), mask(tail));
-        let [head, last] = self.edges;
-        let word = self.start / 64;
-        EdgeWords([
-            (word, head.0 & head_mask, head.1 & head_mask),
-            (word + tail, last.0 & tail_mask, last.1 & tail_mask),
-        ])
-    }
-}
-
 impl EdgeWords {
     /// ORs the edge words into the output's planes.
     fn merge_into(self, care: &mut [u64], value: &mut [u64]) {
@@ -1035,25 +1018,29 @@ impl EdgeWords {
     }
 }
 
-/// Splits the output words from trit `base` on into one job [`Slot`] per
-/// segment of `segs`, in order: each takes the words wholly inside its
-/// trit range. A slot is `None` only if the words run out, which the
-/// caller's grow rules out.
+/// The output words that lie wholly inside the trits `start..start +
+/// len`.
+fn whole_words(start: usize, len: usize) -> Range<usize> {
+    let first = start.div_ceil(64);
+    first..(start.saturating_add(len) / 64).max(first)
+}
+
+/// Splits the output words into one [`Slot`] per job, in order: each
+/// takes the words wholly inside its trit range. A slot is `None` only
+/// if the words run out or the ranges overlap, which the callers'
+/// layouts rule out.
 fn in_place_slots<'o>(
     mut care: &'o mut [u64],
     mut value: &'o mut [u64],
-    base: usize,
-    segs: &[(usize, ParsedSegment<'_>)],
+    jobs: &[Job<'_>],
 ) -> Vec<Slot<'o>> {
-    let mut slots = Vec::with_capacity(segs.len());
+    let mut slots = Vec::with_capacity(jobs.len());
     // Output word index of `care[0]` and `value[0]`.
     let mut cursor = 0usize;
-    let mut start = base;
-    for (_, seg) in segs {
-        let end = start.saturating_add(seg.source_trits);
-        let whole = start.div_ceil(64)..(end / 64).max(start.div_ceil(64));
+    for &(_, seg, start) in jobs {
+        let whole = whole_words(start, seg.source_trits);
         let split = |words: &'o mut [u64]| {
-            let (_, rest) = words.split_at_mut_checked(whole.start - cursor)?;
+            let (_, rest) = words.split_at_mut_checked(whole.start.checked_sub(cursor)?)?;
             rest.split_at_mut_checked(whole.len())
         };
         let slot = match (split(care), split(value)) {
@@ -1067,93 +1054,133 @@ fn in_place_slots<'o>(
             }
         };
         slots.push(Mutex::new(slot));
-        start = end;
     }
     slots
 }
 
-/// Strict decode of `segs` (see [`decode_segments`]), appended in order to
-/// `out` — or the strict failure, leaving `out` as it was: a tripped
-/// `cancel` token first, then the first segment error or worker panic in
-/// order. `out` grows once, by the segments' source trits, and each job
-/// decodes straight into its share of it; the edge words the jobs share
-/// are merged after the join. The jobs' telemetry goes into `tally`,
-/// which the caller publishes.
+/// Decodes `jobs` on the engine's executor, each straight into its trit
+/// range of `out`, whose words already cover every range: a job writes
+/// the words wholly inside its range and hands back its edge words,
+/// which are merged after the join. A job that fails, panics or is
+/// cancelled leaves its range `X`: its whole words are zeroed and its
+/// edge words dropped. Returns each job's verdict, in job order. The
+/// jobs' telemetry goes into `tally`, which the caller publishes; their
+/// panics and cancellations are published here.
+pub(crate) fn decode_in_place(
+    engine: &Engine,
+    jobs: &[Job<'_>],
+    table: &DecodeTable,
+    out: &mut TritVec,
+    tally: &mut DecodeTally,
+) -> Vec<JobOutcome<Result<(), DecodeError>>> {
+    let (care, value) = out.planes_mut();
+    let slots = in_place_slots(care, value, jobs);
+    let results = exec::run_cancellable(engine.threads(), jobs.len(), engine.cancel(), |j| {
+        let (i, seg, _) = &jobs[j];
+        let slot = slots[j]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        match slot {
+            Some((start, care, value)) => {
+                let sink = InPlace {
+                    care,
+                    value,
+                    start,
+                    len: seg.source_trits,
+                    written: 0,
+                    edges: [(0, 0); 2],
+                };
+                engine.decode_one_segment(seg, *i, table, sink)
+            }
+            // Unreachable: every slot holds its words until its one job.
+            None => SegmentDecode {
+                trits: Err(DecodeError::WorkerPanicked { segment: *i }),
+                run: Default::default(),
+                nanos: None,
+            },
+        }
+    });
+    drop(slots);
+    let (care, value) = out.planes_mut();
+    let (mut panics, mut cancelled) = (0u64, 0u64);
+    let verdicts = jobs
+        .iter()
+        .zip(results)
+        .map(|(&(_, seg, start), r)| {
+            if let JobOutcome::Done(d) = &r {
+                d.tally_into(tally);
+            }
+            let verdict = match r {
+                JobOutcome::Done(SegmentDecode {
+                    trits: Ok(edges), ..
+                }) => {
+                    edges.merge_into(care, value);
+                    return JobOutcome::Done(Ok(()));
+                }
+                JobOutcome::Done(SegmentDecode { trits: Err(e), .. }) => JobOutcome::Done(Err(e)),
+                JobOutcome::Panicked(p) => {
+                    panics += 1;
+                    JobOutcome::Panicked(p)
+                }
+                JobOutcome::Cancelled => {
+                    cancelled += 1;
+                    JobOutcome::Cancelled
+                }
+            };
+            // The job may have written some of its whole words.
+            let whole = whole_words(start, seg.source_trits);
+            for words in [&mut *care, &mut *value] {
+                if let Some(words) = words.get_mut(whole.clone()) {
+                    words.fill(0);
+                }
+            }
+            verdict
+        })
+        .collect();
+    crate::metrics::publish_count(catalogue::ENGINE_WORKER_PANICS, panics);
+    crate::metrics::publish_count(catalogue::ENGINE_CANCELLED_JOBS, cancelled);
+    verdicts
+}
+
+/// Strict decode of `segs`, whose trit ranges follow each other from
+/// `out.len()` on, appended to `out` — or the strict failure, leaving
+/// `out` as it was: a tripped cancel token first, then the first segment
+/// error or worker panic in order. `out` grows once, by the segments'
+/// source trits, and each job decodes straight into its share of it
+/// ([`decode_in_place`]).
 pub(crate) fn decode_strict(
     engine: &Engine,
-    segs: &[(usize, ParsedSegment<'_>)],
+    segs: &[Job<'_>],
     table: &DecodeTable,
-    cancel: Option<&cancel::CancelToken>,
     out: &mut TritVec,
     tally: &mut DecodeTally,
 ) -> Result<(), DecodeError> {
     let base = out.len();
-    out.grow_x(segs.iter().map(|(_, seg)| seg.source_trits).sum());
-    let (care, value) = out.planes_mut();
-    let slots = in_place_slots(care, value, base, segs);
-    let results = exec::run_cancellable(
-        engine.threads(),
-        segs.len(),
-        |_| Priority::High,
-        cancel,
-        |j| {
-            let (i, seg) = &segs[j];
-            let slot = slots[j]
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .take();
-            match slot {
-                Some((start, care, value)) => {
-                    let sink = InPlace {
-                        care,
-                        value,
-                        start,
-                        len: seg.source_trits,
-                        written: 0,
-                        edges: [(0, 0); 2],
-                    };
-                    engine.decode_one_segment(seg, *i, table, sink)
-                }
-                // Unreachable: every slot holds its words until its one job.
-                None => SegmentDecode {
-                    trits: Err(DecodeError::WorkerPanicked { segment: *i }),
-                    run: Default::default(),
-                    nanos: None,
-                },
-            }
-        },
-    );
-    drop(slots);
-    // Edge words merge as they come: a failed call truncates them away.
-    let (care, value) = out.planes_mut();
+    out.grow_x(segs.iter().map(|(_, seg, _)| seg.source_trits).sum());
     let mut first_err: Option<DecodeError> = None;
-    let mut panics = 0u64;
-    let mut cancelled = 0u64;
-    for ((i, _), r) in segs.iter().zip(results) {
-        if let JobOutcome::Done(seg) = &r {
-            seg.tally_into(tally);
-        }
-        match r {
-            JobOutcome::Done(SegmentDecode {
-                trits: Ok(words), ..
-            }) => words.merge_into(care, value),
-            JobOutcome::Done(SegmentDecode { trits: Err(e), .. }) => {
+    let mut cancelled = false;
+    for (&(i, ..), verdict) in segs
+        .iter()
+        .zip(decode_in_place(engine, segs, table, out, tally))
+    {
+        match verdict {
+            JobOutcome::Done(Ok(())) => {}
+            JobOutcome::Done(Err(e)) => {
                 first_err.get_or_insert(e);
             }
             JobOutcome::Panicked(_) => {
-                panics += 1;
-                first_err.get_or_insert(DecodeError::WorkerPanicked { segment: *i });
+                first_err.get_or_insert(DecodeError::WorkerPanicked { segment: i });
             }
-            JobOutcome::Cancelled => cancelled += 1,
+            JobOutcome::Cancelled => cancelled = true,
         }
     }
-    crate::metrics::publish_count(catalogue::ENGINE_WORKER_PANICS, panics);
-    crate::metrics::publish_count(catalogue::ENGINE_CANCELLED_JOBS, cancelled);
-    let failed = if cancelled > 0 {
+    let failed = if cancelled {
         // Cancellation beats per-segment errors in the strict verdict:
         // the caller asked us to stop, so say so — with the trip cause
         // (deadline vs explicit hang-up) typed.
-        let trip = cancel
+        let trip = engine
+            .cancel()
             .and_then(cancel::CancelToken::trip)
             .unwrap_or(cancel::Trip::Cancelled);
         Some(trip.decode_error())
@@ -1182,26 +1209,26 @@ pub(crate) fn execute_strict(
     let table = DecodeTable::for_lengths(&plan.table_lengths).ok_or(FrameError::BadTable)?;
     // A strictly valid plan is exactly `n` data entries followed by the
     // parity segments, so the data ordinal equals the segment index.
-    let segs: Vec<(usize, ParsedSegment<'_>)> = plan
-        .entries
-        .iter()
-        .filter_map(|e| match e {
-            PlanEntry::Data { seg, .. } => Some(*seg),
-            _ => None,
-        })
-        .enumerate()
-        .collect();
+    let mut end = 0usize;
+    let mut segs: Vec<Job<'_>> = Vec::with_capacity(plan.claimed_segments);
+    segs.extend(
+        plan.entries
+            .iter()
+            .filter_map(|e| match e {
+                PlanEntry::Data { seg, .. } => Some(*seg),
+                _ => None,
+            })
+            .enumerate()
+            .map(|(i, seg)| {
+                let start = end;
+                end += seg.source_trits;
+                (i, seg, start)
+            }),
+    );
     // Sized by the one grow of `decode_strict`.
     let mut trits = TritVec::new();
     let mut tally = DecodeTally::default();
-    let decoded = decode_strict(
-        engine,
-        &segs,
-        &table,
-        engine.cancel(),
-        &mut trits,
-        &mut tally,
-    );
+    let decoded = decode_strict(engine, &segs, &table, &mut trits, &mut tally);
     tally.publish();
     decoded?;
     Ok(SalvageReport {

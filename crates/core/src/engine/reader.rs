@@ -573,11 +573,17 @@ impl Engine {
         if let Some(table) = table.filter(|_| failed.is_none()) {
             // Each segment was CRC-verified once, when the walk classified
             // it: decode the owned bytes without re-parsing them.
-            let segs: Vec<(usize, frame::ParsedSegment<'_>)> = batch
+            let mut end = out.len();
+            let segs: Vec<plan::Job<'_>> = batch
                 .iter()
-                .map(|owned| (owned.index, owned.view()))
+                .map(|owned| {
+                    let seg = owned.view();
+                    let start = end;
+                    end += seg.source_trits;
+                    (owned.index, seg, start)
+                })
                 .collect();
-            if let Err(e) = plan::decode_strict(self, &segs, table, self.cancel(), out, tally) {
+            if let Err(e) = plan::decode_strict(self, &segs, table, out, tally) {
                 *failed = Some(e);
             }
         }

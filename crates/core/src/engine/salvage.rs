@@ -36,34 +36,38 @@
 //!
 //! Both rungs execute directly on the [`PlanEntry`] list of a
 //! [`FramePlan`] built in **one** header/CRC scan pass
-//! ([`Engine::build_plan`]), through [`Engine::execute_plan`]. Work is
-//! scheduled on the two-level priority executor: intact-segment decodes run at
-//! [`Priority::High`] (they are needed at every rung), parity
-//! reconstruction of damaged groups backfills at [`Priority::Low`], and
-//! rebuilt segments decode in a short follow-up batch. Every segment
-//! decode is the engine's one segment job, `Engine::decode_one_segment`,
-//! which opens the segment's `segment_decode` span.
+//! ([`Engine::build_plan`]), through [`Engine::execute_plan`], in two
+//! executor runs. The first rebuilds the damaged parity groups, its only
+//! jobs, so each slot's trit range is fixed before any slot decodes. The
+//! output then grows once, to the header's `source_len`, as `X`, and the
+//! second run decodes every slot the layout keeps, intact or rebuilt,
+//! straight into its range through `plan::decode_in_place`, the fan-out
+//! strict decode uses too. A slot whose decode fails, panics or is
+//! cancelled is reset to `X` there, and an erased slot is never written,
+//! so every `X` sits at its planned position. Every segment decode is the
+//! engine's one segment job, `Engine::decode_one_segment`, which opens
+//! the segment's `segment_decode` span.
 //!
 //! The rungs keep their state in one list of output slots: the plan's
 //! non-parity entries in stream order, plus an erased tail when they
 //! cover fewer trits than the header total. A slot's position is the
 //! index its `segment_decode` span, fault point, `rung` trace event and
-//! damage-map entry carry. Decode outcomes and the layout (each slot's
-//! trits and erasure reason) are vectors indexed by slot, and parity
-//! rebuilds a vector indexed by plan entry.
+//! damage-map entry carry. The layout (each slot's trits and erasure
+//! reason) is a vector indexed by slot, and parity rebuilds a vector
+//! indexed by plan entry.
 
 use crate::decode::{DecodeError, DecodeTable};
 use crate::engine::ecc::ParityCoder;
-use crate::engine::exec::{self, JobOutcome, Priority};
+use crate::engine::exec::{self, JobOutcome};
 use crate::engine::frame::{self, DamageReason};
 #[cfg(doc)]
 use crate::engine::plan::Policy;
 use crate::engine::plan::{self, FramePlan, PlanEntry};
 use crate::engine::reader::OwnedSegment;
-use crate::engine::{Engine, SegmentDecode};
+use crate::engine::Engine;
 use crate::metrics::DecodeTally;
 use ninec_obs::catalogue;
-use ninec_testdata::trit::{Trit, TritVec};
+use ninec_testdata::trit::TritVec;
 use std::ops::Range;
 
 /// One damaged (or repaired) region of a salvaged frame.
@@ -178,8 +182,8 @@ struct Rebuilt {
 /// Repair only runs on a plan of exactly `n + p` entries, so plan entry
 /// `m < n` is data segment `m`. Returns the CRC-verified rebuilds plus
 /// the count of members that stayed unrepairable (feeding
-/// `ninec.ecc.repair_failures`). Runs as a [`Priority::Low`] executor
-/// job — intact decodes always go first.
+/// `ninec.ecc.repair_failures`). Runs as one job of the rebuild stage,
+/// before any slot decodes.
 fn repair_group(
     plan: &FramePlan<'_>,
     coder: &ParityCoder,
@@ -244,16 +248,6 @@ fn repair_group(
     (rebuilt, failures)
 }
 
-/// One segment decode's outcome on the executor.
-type Decoded = JobOutcome<SegmentDecode<TritVec>>;
-
-/// The first executor run's per-job outcome: an intact segment's decode
-/// (High priority) or one parity group's reconstruction (Low priority).
-enum StageOut {
-    Decoded(SegmentDecode<TritVec>),
-    Rebuilt(Vec<Rebuilt>, u64),
-}
-
 /// Executes the repair (`repair = true`) or salvage rung directly on the
 /// entries of an already-built [`FramePlan`] — no byte of the frame is
 /// re-scanned or re-CRC'd here. Backs [`Engine::execute_plan`] at
@@ -271,20 +265,13 @@ pub(crate) fn execute(
     // The output slots: the plan's non-parity entries with their entry
     // index, in stream order. A slot's position is the index its
     // `segment_decode` span, fault point and damage-map entry carry.
-    let slots: Vec<(usize, &PlanEntry<'_>)> = plan
-        .entries
-        .iter()
-        .enumerate()
-        .filter(|(_, entry)| !matches!(entry, PlanEntry::Parity { .. }))
-        .collect();
-    let intact: Vec<(usize, frame::ParsedSegment<'_>)> = slots
-        .iter()
-        .enumerate()
-        .filter_map(|(s, (_, entry))| match entry {
-            PlanEntry::Data { seg, .. } => Some((s, *seg)),
-            _ => None,
-        })
-        .collect();
+    let mut slots: Vec<(usize, &PlanEntry<'_>)> = Vec::with_capacity(plan.entries.len());
+    slots.extend(
+        plan.entries
+            .iter()
+            .enumerate()
+            .filter(|(_, entry)| !matches!(entry, PlanEntry::Parity { .. })),
+    );
     // Repair only runs when the plan's structure is unambiguous: exactly
     // `n + p` entries, so entry position is segment position and the
     // erasure positions are certain. Anything else (merged damage
@@ -306,72 +293,45 @@ pub(crate) fn execute(
         None => Vec::new(),
     };
 
-    // Stage 1, one prioritized executor run: intact-segment decodes at
-    // High priority (they are the critical path of every rung), parity
-    // reconstruction of each damaged group backfilling at Low.
-    let boundary = intact.len();
+    // Stage 1: the parity rebuild of each damaged group, the only jobs of
+    // this executor run — the layout below waits on them.
     let stage1 = exec::run_cancellable(
         engine.threads(),
-        boundary + damaged_groups.len(),
-        |i| {
-            if i < boundary {
-                Priority::High
-            } else {
-                Priority::Low
-            }
-        },
+        damaged_groups.len(),
         engine.cancel(),
         |i| {
-            if let Some((s, seg)) = intact.get(i) {
-                let out = TritVec::with_capacity(seg.source_trits);
-                return StageOut::Decoded(engine.decode_one_segment(seg, *s, &table, out));
-            }
-            let group = damaged_groups[i - boundary];
+            let group = damaged_groups[i];
             let _grp_span = catalogue::SPAN_REPAIR_GROUP.start_at(
                 ninec_obs::NO_SEGMENT,
                 ninec_obs::TracePayload::Group {
                     group: u32::try_from(group).unwrap_or(u32::MAX),
                 },
             );
-            let (rebuilt, failures) = coder.as_ref().map_or_else(Default::default, |c| {
+            coder.as_ref().map_or_else(Default::default, |c| {
                 repair_group(plan, c, group, engine.limits())
-            });
-            StageOut::Rebuilt(rebuilt, failures)
+            })
         },
     );
-    // Decode outcomes by slot (stage 1 fills the intact ones, stage 2
-    // the rebuilt ones) and rebuilds by plan entry.
-    let mut outcomes: Vec<Option<Decoded>> = vec![None; slots.len()];
     let mut rebuilt: Vec<Option<Rebuilt>> = (0..plan.entries.len()).map(|_| None).collect();
-    let (mut repair_failures, mut panics, mut cancelled) = (0u64, 0u64, 0u64);
-    // Both stages' decode telemetry, published once at the end.
-    let mut tally = DecodeTally::default();
-    for (i, out) in stage1.into_iter().enumerate() {
-        let out = match out {
-            JobOutcome::Done(StageOut::Rebuilt(rebuilds, failures)) => {
+    let (mut repair_failures, mut panics) = (0u64, 0u64);
+    for out in stage1 {
+        match out {
+            JobOutcome::Done((rebuilds, failures)) => {
                 repair_failures += failures;
                 for rb in rebuilds {
                     let at = rb.seg.index;
                     rebuilt[at] = Some(rb);
                 }
-                continue;
             }
-            JobOutcome::Done(StageOut::Decoded(d)) => {
-                d.tally_into(&mut tally);
-                JobOutcome::Done(d)
-            }
-            JobOutcome::Panicked(p) => JobOutcome::Panicked(p),
-            JobOutcome::Cancelled => JobOutcome::Cancelled,
-        };
-        match intact.get(i) {
-            Some(&(s, _)) => outcomes[s] = Some(out),
             // A panicking or cancelled repair job degrades its whole
             // group to plain salvage: the members stay erased with their
             // original reasons. Only the panic is counted.
-            None => panics += u64::from(matches!(out, JobOutcome::Panicked(_))),
+            JobOutcome::Panicked(_) => panics += 1,
+            JobOutcome::Cancelled => {}
         }
     }
     crate::metrics::publish_count(catalogue::ECC_REPAIR_FAILURES, repair_failures);
+    crate::metrics::publish_count(catalogue::ENGINE_WORKER_PANICS, panics);
 
     // Trusted lengths: intact + rebuilt segments. Untrusted: the
     // unrepaired damaged entries' claims, which share the rest.
@@ -390,17 +350,19 @@ pub(crate) fn execute(
         resolve_erasures(&claims, source_len.saturating_sub(intact_sum)).into_iter();
 
     // Layout: each slot's output trits and why it is erased (`None`: it
-    // decodes, from the wire or from its rebuild), clipped at the trusted
-    // source_len. A segment that would overshoot (duplicated or spliced
-    // segments) is erased as a header mismatch rather than silently
-    // growing the output; a rebuild that would is erased under its wire
-    // damage.
+    // decodes, from the wire or from its rebuild, as the next decode
+    // job), clipped at the trusted source_len. A segment that would
+    // overshoot (duplicated or spliced segments) is erased as a header
+    // mismatch rather than silently growing the output; a rebuild that
+    // would is erased under its wire damage.
     let mut layout: Vec<(usize, Option<DamageReason>)> = Vec::with_capacity(slots.len() + 1);
+    let mut jobs: Vec<plan::Job<'_>> = Vec::with_capacity(slots.len());
     let mut offset = 0usize;
-    for &(e, entry) in &slots {
+    for (s, &(e, entry)) in slots.iter().enumerate() {
         let left = source_len - offset;
         let (want, erase) = match (entry, &rebuilt[e]) {
             (PlanEntry::Data { seg, .. }, _) if seg.source_trits <= left => {
+                jobs.push((s, *seg, offset));
                 (seg.source_trits, None)
             }
             (PlanEntry::Data { .. }, _) => (
@@ -409,7 +371,10 @@ pub(crate) fn execute(
                     "segment exceeds the header's source-length total",
                 )),
             ),
-            (_, Some(rb)) if rb.seg.source_trits <= left => (rb.seg.source_trits, None),
+            (_, Some(rb)) if rb.seg.source_trits <= left => {
+                jobs.push((s, rb.seg.view(), offset));
+                (rb.seg.source_trits, None)
+            }
             (damaged, _) => (
                 erase_lens.next().unwrap_or(0).min(left),
                 damaged.damage().map(|(reason, _)| reason),
@@ -431,97 +396,70 @@ pub(crate) fn execute(
         layout.push((source_len - offset, Some(reason)));
     }
 
-    // Stage 2: decode the rebuilt segments that fit (a short, all-High
-    // batch — their bytes only exist now).
-    let repaired: Vec<(usize, frame::ParsedSegment<'_>)> = slots
-        .iter()
-        .zip(&layout)
-        .enumerate()
-        .filter_map(|(s, (&(e, _), (_, erase)))| match (&rebuilt[e], erase) {
-            (Some(rb), None) => Some((s, rb.seg.view())),
-            _ => None,
-        })
-        .collect();
-    let results = plan::decode_segments(engine, &repaired, &table, engine.cancel());
-    for (&(s, _), out) in repaired.iter().zip(results) {
-        if let JobOutcome::Done(d) = &out {
-            d.tally_into(&mut tally);
-        }
-        outcomes[s] = Some(out);
-    }
+    // Stage 2: the output grows once, as `X`, and every slot the layout
+    // keeps decodes straight into its trit range. Erased slots are never
+    // written, and a failed decode is reset to `X`.
+    let mut trits = TritVec::new();
+    trits.grow_x(source_len);
+    let mut tally = DecodeTally::default();
+    let mut verdicts =
+        plan::decode_in_place(engine, &jobs, &table, &mut trits, &mut tally).into_iter();
     tally.publish();
 
-    // Assemble, panic-isolated: a panicked or mis-decoding segment
-    // degrades to an erasure.
-    let mut trits = TritVec::with_capacity(source_len);
+    // The report: each slot's rung and damage-map entry.
     let mut damaged = Vec::new();
     let mut recovered = 0usize;
     let total = layout.len();
+    let mut start = 0usize;
     for (s, (want, erase)) in layout.into_iter().enumerate() {
-        let start = trits.len();
+        let trit_range = start..start + want;
+        start += want;
         let at = u32::try_from(s).unwrap_or(u32::MAX);
         let (byte_range, rb) = slots
             .get(s)
             .map_or((bytes.len()..bytes.len(), None), |&(e, entry)| {
                 (entry.byte_range(), rebuilt[e].as_ref())
             });
-        let reason = match (erase, outcomes.get_mut(s).and_then(Option::take)) {
-            (Some(reason), _) => reason,
-            (None, Some(JobOutcome::Done(SegmentDecode { trits: Ok(out), .. })))
-                if out.len() == want =>
-            {
-                trits.extend_from_tritvec(&out);
-                recovered += 1;
-                let Some(rb) = rb else {
+        let reason = match erase {
+            Some(reason) => reason,
+            None => match verdicts.next() {
+                Some(JobOutcome::Done(Ok(()))) => {
+                    recovered += 1;
+                    let Some(rb) = rb else {
+                        ninec_obs::trace_instant(
+                            "rung",
+                            at,
+                            ninec_obs::RungKind::Strict,
+                            ninec_obs::TracePayload::None,
+                        );
+                        continue;
+                    };
                     ninec_obs::trace_instant(
                         "rung",
                         at,
-                        ninec_obs::RungKind::Strict,
-                        ninec_obs::TracePayload::None,
+                        ninec_obs::RungKind::Repaired,
+                        ninec_obs::TracePayload::Repair {
+                            group: u32::try_from(rb.group).unwrap_or(u32::MAX),
+                            parity_used: u32::try_from(rb.parity_used).unwrap_or(u32::MAX),
+                        },
                     );
+                    damaged.push(DamagedSegment {
+                        index: s,
+                        byte_range,
+                        trit_range,
+                        reason: DamageReason::RepairedBy {
+                            group: rb.group,
+                            parity_used: rb.parity_used,
+                        },
+                    });
                     continue;
-                };
-                ninec_obs::trace_instant(
-                    "rung",
-                    at,
-                    ninec_obs::RungKind::Repaired,
-                    ninec_obs::TracePayload::Repair {
-                        group: u32::try_from(rb.group).unwrap_or(u32::MAX),
-                        parity_used: u32::try_from(rb.parity_used).unwrap_or(u32::MAX),
-                    },
-                );
-                damaged.push(DamagedSegment {
-                    index: s,
-                    byte_range,
-                    trit_range: start..start + want,
-                    reason: DamageReason::RepairedBy {
-                        group: rb.group,
-                        parity_used: rb.parity_used,
-                    },
-                });
-                continue;
-            }
-            // A decoder returning the wrong length is a writer bug;
-            // degrade to an erasure.
-            (None, Some(JobOutcome::Done(SegmentDecode { trits: Ok(_), .. }))) => {
-                DamageReason::Malformed("decoded length disagrees with the segment header")
-            }
-            (
-                None,
-                Some(JobOutcome::Done(SegmentDecode {
-                    trits: Err(err), ..
-                })),
-            ) => DamageReason::Decode(err),
-            (None, Some(JobOutcome::Panicked(_))) => {
-                panics += 1;
-                DamageReason::WorkerPanicked
-            }
-            (None, Some(JobOutcome::Cancelled)) => {
-                cancelled += 1;
-                DamageReason::Cancelled
-            }
-            // Unreachable: every decoding slot has a stage result.
-            (None, None) => DamageReason::Malformed("internal plan/result mismatch"),
+                }
+                Some(JobOutcome::Done(Err(err))) => DamageReason::Decode(err),
+                Some(JobOutcome::Panicked(_)) => DamageReason::WorkerPanicked,
+                Some(JobOutcome::Cancelled) => DamageReason::Cancelled,
+                // Unreachable: every slot the layout keeps has a job.
+                None => DamageReason::Malformed("internal plan/result mismatch"),
+            },
         };
         ninec_obs::trace_instant(
             "rung",
@@ -531,16 +469,13 @@ pub(crate) fn execute(
                 trits: u32::try_from(want).unwrap_or(u32::MAX),
             },
         );
-        trits.push_run(Trit::X, want);
         damaged.push(DamagedSegment {
             index: s,
             byte_range,
-            trit_range: start..start + want,
+            trit_range,
             reason,
         });
     }
-    crate::metrics::publish_count(catalogue::ENGINE_WORKER_PANICS, panics);
-    crate::metrics::publish_count(catalogue::ENGINE_CANCELLED_JOBS, cancelled);
     crate::metrics::publish_count(
         catalogue::ECC_REPAIRED_SEGMENTS,
         damaged
@@ -567,6 +502,7 @@ mod tests {
     use super::*;
     use crate::engine::frame::{HEADER_BYTES, HEADER_BYTES_V3};
     use crate::engine::{Engine, Policy};
+    use ninec_testdata::trit::Trit;
 
     /// The salvage rung on a fresh plan of `bytes`.
     fn salvage(e: &Engine, bytes: &[u8]) -> Result<SalvageReport, DecodeError> {
@@ -721,6 +657,47 @@ mod tests {
             salvage(&e, b"junk"),
             Err(DecodeError::Frame(frame::FrameError::BadMagic))
         ));
+    }
+
+    /// A CRC-valid segment whose payload fails 9C decode part-way reads
+    /// `X` over its whole range: the words it wrote before failing are
+    /// reset, and its edge words, which it shares with its neighbours,
+    /// are dropped while the neighbours decode unchanged.
+    #[test]
+    fn a_segment_failing_mid_decode_reads_x() {
+        let stream = sample_stream();
+        let clean_engine = Engine::builder().segment_bits(200).build();
+        let frame_bytes = clean_engine.encode_frame(8, &stream).expect("valid K");
+        let clean = clean_engine.decode_frame(&frame_bytes).expect("decodes");
+        let seg = clean_engine
+            .build_plan(&frame_bytes)
+            .expect("plans")
+            .entries()[1]
+            .byte_range();
+        // `X` trits (code 10) from the middle of segment 1's payload on
+        // put an `X` inside a codeword; the segment CRC is re-sealed.
+        let mut bad = frame_bytes.clone();
+        let payload = seg.start + frame::SEGMENT_HEADER_BYTES..seg.end;
+        bad[payload.start + payload.len() / 2..payload.end].fill(0xAA);
+        let crc = crate::engine::crc::crc32_pair(&bad[seg.start..seg.start + 12], &bad[payload]);
+        bad[seg.start + 12..seg.start + 16].copy_from_slice(&crc.to_le_bytes());
+        let mut expect = clean.clone();
+        for i in 200..400 {
+            expect.set(i, Trit::X);
+        }
+        for threads in [1, 3] {
+            let e = Engine::builder().threads(threads).segment_bits(200).build();
+            assert!(matches!(
+                e.decode_frame(&bad),
+                Err(DecodeError::XInCodeword { .. })
+            ));
+            let report = salvage(&e, &bad).expect("salvages");
+            assert_eq!(report.damaged.len(), 1, "{:?}", report.damaged);
+            assert_eq!(report.damaged[0].index, 1);
+            assert_eq!(report.damaged[0].trit_range, 200..400);
+            assert!(matches!(report.damaged[0].reason, DamageReason::Decode(_)));
+            assert_eq!(report.trits, expect, "threads {threads}");
+        }
     }
 
     #[test]

@@ -101,12 +101,10 @@ impl RungKind {
 pub enum TracePayload {
     /// No extra data.
     None,
-    /// An executor job: its index and priority class.
+    /// An executor job: its index.
     Job {
         /// Job index in the submission order.
         index: u32,
-        /// `true` for high-priority jobs.
-        high: bool,
     },
     /// A segment CRC verdict from the frame walker.
     Crc {
@@ -189,9 +187,8 @@ impl TraceEvent {
 fn payload_fields(payload: &TracePayload, out: &mut Vec<(String, Value)>) {
     match *payload {
         TracePayload::None => {}
-        TracePayload::Job { index, high } => {
+        TracePayload::Job { index } => {
             out.push(("job".to_owned(), serde_json::json!(index)));
-            out.push(("high".to_owned(), serde_json::json!(high)));
         }
         TracePayload::Crc { ok, claimed_trits } => {
             out.push(("crc_ok".to_owned(), serde_json::json!(ok)));

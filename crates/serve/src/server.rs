@@ -8,11 +8,11 @@
 //! Nothing in the path buffers unboundedly: when the queue is full the
 //! acceptor answers the new connection with a typed [`Status::Busy`]
 //! frame and closes it — backpressure is a wire message, not a growing
-//! `Vec`. The decode work itself runs on the engine's prioritized
-//! executor (decode jobs land on the high-priority lane; parity repair
-//! and salvage scans ride the low-priority lane), so the server adds
-//! queuing *policy* on top of the existing data plane rather than a
-//! second thread pool per request.
+//! `Vec`. The decode work itself runs on the engine's executor (a
+//! repair or salvage decode rebuilds its damaged parity groups first,
+//! then decodes every segment), so the server adds queuing *policy* on
+//! top of the existing data plane rather than a second thread pool per
+//! request.
 //!
 //! # Admission and degradation
 //!

@@ -28,7 +28,7 @@ grep -q '^#!\[deny(clippy::unwrap_used)\]' crates/core/src/engine/mod.rs || {
 # outside #[cfg(test)] in frame.rs (hostile bytes), ecc.rs (GF(256)
 # reconstruction feeds on damaged frames), reader.rs (streaming bytes
 # straight off a pipe), plan.rs (the one frame walker classifying hostile
-# slots), exec.rs (the priority executor under every job, with its panic
+# slots), exec.rs (the executor under every job, with its panic
 # isolation) and cancel.rs (the cancellation token checked on every
 # worker's hot path) — every failure there must be a typed error or a
 # poisoned result slot, never an abort. The whole serve crate is held to
@@ -113,13 +113,15 @@ NINEC_THREADS=8 cargo test -q
 # The vendored proptest runs 64 cases per property by default. The
 # codec's differential suites (word encoder against the scalar
 # reference at every K and case policy, chunked against one-shot, the
-# telemetry counters against the stats, and the engine's parallel and
-# in-place decodes against the serial stream) get 1024, and so does the
-# recorder's span-pairing property, whose stack discipline every span
-# in the workspace goes through.
-echo "==> codec differentials and span pairing (PROPTEST_CASES=1024)"
+# telemetry counters against the stats, the engine's parallel and
+# in-place decodes against the serial stream, damaged frames' repair and
+# salvage included, and the ladder's repair and salvage reports at 1
+# and 8 threads) get 1024, and so does the recorder's span-pairing
+# property, whose stack discipline every span in the workspace goes
+# through.
+echo "==> codec differentials, ladder and span pairing (PROPTEST_CASES=1024)"
 PROPTEST_CASES=1024 cargo test -q --test streaming --test obs_differential \
-    --test engine_differential --test trace_properties
+    --test engine_differential --test ladder_equivalence --test trace_properties
 
 # The root `cargo test` runs only the ninec-suite facade. Run the member
 # crates' own tests (core's engine units, serve's service, chaos and soak
@@ -130,10 +132,10 @@ NINEC_THREADS=1 cargo test -q --workspace --exclude ninec-suite
 echo "==> cargo test -q --workspace --exclude ninec-suite (NINEC_THREADS=8)"
 NINEC_THREADS=8 cargo test -q --workspace --exclude ninec-suite
 
-# The executor's priority, cancellation and panic tests at an
-# oversubscribed thread count: a Low-priority job claimed while High jobs
-# are still unclaimed is a CI failure, not a flake.
-echo "==> executor priority stress (NINEC_THREADS=8)"
+# The executor's cancellation, panic and index-order tests at an
+# oversubscribed thread count: a job claimed out of index order or a
+# result slot out of place is a CI failure, not a flake.
+echo "==> executor cancellation, panic and index-order tests (NINEC_THREADS=8)"
 NINEC_THREADS=8 cargo test -q -p ninec --lib engine::exec::
 
 # Fault-injection suite with the deterministic fail points armed: forced

@@ -14,22 +14,26 @@
 //! telemetry off. Each bound is what the code took when it was set. At
 //! 3 threads a call's figures can vary between runs with the workers'
 //! timing, so those bounds are the highest of 20 runs, and their peak
-//! bytes, which move by up to a few hundred bytes, get one KiB more. A
-//! call that needs more fails here, and a change that needs less lowers
-//! its bound. (The repair rung and encode bounds are the counts they
-//! took when this test landed; the strict decodes' were lowered when
-//! strict decode came to write in place.)
+//! bytes, which move by up to a few hundred bytes, get one KiB more.
+//! The bounds are read as `cargo test` runs the binary, with the output
+//! captured: under `--nocapture` each spawned worker makes two
+//! allocations fewer. A call that needs more fails here, and a change
+//! that needs less lowers its bound.
 //!
-//! Strict decode allocates nothing per data segment: at one thread its
-//! count on the larger frame exceeds the request-size frame's by at most
-//! `Vec` growth.
+//! Repair and salvage also run on a damaged copy of each frame, with one
+//! payload byte of data segment 1 flipped, so the repair rung rebuilds a
+//! segment and salvage erases one. Strict decode, and repair and salvage
+//! of the damaged frame, allocate nothing per data segment: at one
+//! thread their count on the larger frame exceeds the request-size
+//! frame's by at most `Vec` growth.
 //!
 //! The allocator is process global, so this file is a binary of its own
 //! with a single test.
 
+use ninec::engine::frame::SEGMENT_HEADER_BYTES;
 use ninec::engine::{Archive, FrameReader};
 use ninec::session::DecodeSession;
-use ninec::{Engine, Policy};
+use ninec::{Engine, Policy, RungKind};
 use ninec_testdata::gen::SyntheticProfile;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -106,12 +110,15 @@ fn measure(call: &dyn Fn()) -> Usage {
     }
 }
 
-/// The calls measured, in order.
-const CALLS: [&str; 7] = [
+/// The calls measured, in order. A `damaged` call runs on a copy of the
+/// frame with one payload byte of data segment 1 flipped.
+const CALLS: [&str; 9] = [
     "Engine::decode_frame",
     "execute_plan(Strict)",
     "DecodeSession::decode_frame(Strict)",
     "DecodeSession::decode_frame(Repair)",
+    "DecodeSession::decode_frame(Repair), damaged",
+    "execute_plan(Salvage), damaged",
     "decode_stream_reader",
     "Archive::decode_range",
     "encode_frame",
@@ -124,46 +131,59 @@ const KIB: usize = 1024;
 /// `(frame, threads, call, allocations, peak live bytes)`: each call's
 /// ceiling.
 #[rustfmt::skip]
-const BOUNDS: [(&str, usize, &str, u64, usize); 28] = [
-    ("req", 1, "Engine::decode_frame", 23, 16856),
-    ("req", 1, "execute_plan(Strict)", 18, 12248),
-    ("req", 1, "DecodeSession::decode_frame(Strict)", 24, 16856),
-    ("req", 1, "DecodeSession::decode_frame(Repair)", 184, 19768),
-    ("req", 1, "decode_stream_reader", 298, 4110),
-    ("req", 1, "Archive::decode_range", 31, 3352),
-    ("req", 1, "encode_frame", 255, 18468),
-    ("req", 3, "Engine::decode_frame", 33, 17288 + KIB),
-    ("req", 3, "execute_plan(Strict)", 28, 12680 + KIB),
-    ("req", 3, "DecodeSession::decode_frame(Strict)", 34, 17288 + KIB),
-    ("req", 3, "DecodeSession::decode_frame(Repair)", 194, 19768 + KIB),
-    ("req", 3, "decode_stream_reader", 271, 5170 + KIB),
-    ("req", 3, "Archive::decode_range", 41, 3784 + KIB),
-    ("req", 3, "encode_frame", 265, 18468 + KIB),
-    ("bulk", 1, "Engine::decode_frame", 36, 603376),
-    ("bulk", 1, "execute_plan(Strict)", 26, 455920),
-    ("bulk", 1, "DecodeSession::decode_frame(Strict)", 37, 603376),
-    ("bulk", 1, "DecodeSession::decode_frame(Repair)", 3945, 868576),
-    ("bulk", 1, "decode_stream_reader", 7092, 251666),
-    ("bulk", 1, "Archive::decode_range", 137, 64848),
-    ("bulk", 1, "encode_frame", 5667, 470675),
-    ("bulk", 3, "Engine::decode_frame", 46, 603808 + KIB),
-    ("bulk", 3, "execute_plan(Strict)", 36, 456352 + KIB),
-    ("bulk", 3, "DecodeSession::decode_frame(Strict)", 47, 603808 + KIB),
-    ("bulk", 3, "DecodeSession::decode_frame(Repair)", 3955, 868736 + KIB),
-    ("bulk", 3, "decode_stream_reader", 6440, 252817 + KIB),
-    ("bulk", 3, "Archive::decode_range", 147, 65280 + KIB),
-    ("bulk", 3, "encode_frame", 5677, 470675 + KIB),
+const BOUNDS: [(&str, usize, &str, u64, usize); 36] = [
+    ("req", 1, "Engine::decode_frame", 15, 15512),
+    ("req", 1, "execute_plan(Strict)", 10, 10904),
+    ("req", 1, "DecodeSession::decode_frame(Strict)", 16, 15512),
+    ("req", 1, "DecodeSession::decode_frame(Repair)", 16, 15512),
+    ("req", 1, "DecodeSession::decode_frame(Repair), damaged", 37, 21952),
+    ("req", 1, "execute_plan(Salvage), damaged", 17, 17192),
+    ("req", 1, "decode_stream_reader", 298, 4086),
+    ("req", 1, "Archive::decode_range", 29, 3352),
+    ("req", 1, "encode_frame", 250, 18468),
+    ("req", 3, "Engine::decode_frame", 25, 15944 + KIB),
+    ("req", 3, "execute_plan(Strict)", 20, 11336 + KIB),
+    ("req", 3, "DecodeSession::decode_frame(Strict)", 26, 15944 + KIB),
+    ("req", 3, "DecodeSession::decode_frame(Repair)", 26, 15944 + KIB),
+    ("req", 3, "DecodeSession::decode_frame(Repair), damaged", 47, 22384 + KIB),
+    ("req", 3, "execute_plan(Salvage), damaged", 27, 17624 + KIB),
+    ("req", 3, "decode_stream_reader", 271, 5153 + KIB),
+    ("req", 3, "Archive::decode_range", 39, 3784 + KIB),
+    ("req", 3, "encode_frame", 260, 18468 + KIB),
+    ("bulk", 1, "Engine::decode_frame", 20, 600744),
+    ("bulk", 1, "execute_plan(Strict)", 10, 453288),
+    ("bulk", 1, "DecodeSession::decode_frame(Strict)", 21, 600744),
+    ("bulk", 1, "DecodeSession::decode_frame(Repair)", 21, 600744),
+    ("bulk", 1, "DecodeSession::decode_frame(Repair), damaged", 49, 755348),
+    ("bulk", 1, "execute_plan(Salvage), damaged", 17, 607688),
+    ("bulk", 1, "decode_stream_reader", 7092, 251642),
+    ("bulk", 1, "Archive::decode_range", 127, 63224),
+    ("bulk", 1, "encode_frame", 5658, 470675),
+    ("bulk", 3, "Engine::decode_frame", 30, 601176 + KIB),
+    ("bulk", 3, "execute_plan(Strict)", 20, 453720 + KIB),
+    ("bulk", 3, "DecodeSession::decode_frame(Strict)", 31, 601176 + KIB),
+    ("bulk", 3, "DecodeSession::decode_frame(Repair)", 31, 601176 + KIB),
+    ("bulk", 3, "DecodeSession::decode_frame(Repair), damaged", 59, 755780 + KIB),
+    ("bulk", 3, "execute_plan(Salvage), damaged", 27, 608120 + KIB),
+    ("bulk", 3, "decode_stream_reader", 6440, 252764 + KIB),
+    ("bulk", 3, "Archive::decode_range", 137, 63656 + KIB),
+    ("bulk", 3, "encode_frame", 5668, 470675 + KIB),
 ];
 
-/// The strict decodes, which allocate nothing per data segment.
-const STRICT: [&str; 3] = [
+/// The calls that allocate nothing per data segment: the strict
+/// decodes, and repair and salvage of a damaged frame, which decode
+/// every slot in place.
+const PER_CALL: [&str; 5] = [
     "Engine::decode_frame",
     "execute_plan(Strict)",
     "DecodeSession::decode_frame(Strict)",
+    "DecodeSession::decode_frame(Repair), damaged",
+    "execute_plan(Salvage), damaged",
 ];
 
-/// How far the larger frame's strict count may exceed the request-size
-/// frame's at one thread: `Vec` growth, not work per segment.
+/// How far the larger frame's count of a [`PER_CALL`] call may exceed
+/// the request-size frame's at one thread: `Vec` growth, not work per
+/// segment.
 const PER_FRAME_GROWTH: u64 = 16;
 
 /// One frame shape: its name, source, segment size and the archive
@@ -186,12 +206,15 @@ fn measure_shape(shape: &Shape, threads: usize, dir: &std::path::Path) -> Vec<Us
         .build();
     let frame = engine.encode_frame(8, stream).expect("frame encodes");
     let plan = engine.build_plan(&frame).expect("clean frame plans");
+    let mut damaged = frame.clone();
+    damaged[plan.entries()[1].byte_range().start + SEGMENT_HEADER_BYTES] ^= 0x55;
+    let damaged_plan = engine.build_plan(&damaged).expect("damaged frame plans");
     let session = DecodeSession::new().threads(threads);
     let path = dir.join(format!("{}-t{threads}.9ca", shape.name));
     let mut archive = Archive::create(&path, &engine).expect("archive creates");
     archive.append_frame(&frame).expect("frame appends");
     let (start, len) = shape.range;
-    let calls: [&dyn Fn(); 7] = [
+    let calls: [&dyn Fn(); 9] = [
         &|| {
             engine.decode_frame(&frame).expect("clean frame decodes");
         },
@@ -209,6 +232,17 @@ fn measure_shape(shape: &Shape, threads: usize, dir: &std::path::Path) -> Vec<Us
             session
                 .decode_frame(&frame, Policy::Repair)
                 .expect("clean frame decodes");
+        },
+        &|| {
+            let outcome = session
+                .decode_frame(&damaged, Policy::Repair)
+                .expect("damaged frame repairs");
+            assert_eq!(outcome.rung, RungKind::Repaired);
+        },
+        &|| {
+            engine
+                .execute_plan(&damaged_plan, Policy::Salvage)
+                .expect("damaged frame salvages");
         },
         &|| {
             engine
@@ -279,7 +313,7 @@ fn warm_calls_stay_within_their_allocation_budget() {
             .map(|m| m.3.allocs)
             .expect("measured")
     };
-    for call in STRICT {
+    for call in PER_CALL {
         let (small, large) = (allocs("req", call), allocs("bulk", call));
         assert!(
             large <= small + PER_FRAME_GROWTH,

@@ -5,9 +5,11 @@
 //! bit-identical to the serial `Encoder::encode_stream`, and `9CSF` frame
 //! bytes are independent of the thread count. Strict decode, which
 //! writes every segment straight into the frame's output, equals the
-//! serial decode exactly, `X` positions included. Corrupt frames — bad
-//! magic, flipped CRC bytes, truncation, arbitrary byte salad — must come
-//! back as typed [`DecodeError`]s, never panics.
+//! serial decode exactly, `X` positions included, and so do repair and
+//! salvage, which decode in place through the same jobs, outside the
+//! damage map's `X` range. Corrupt frames — bad magic, flipped CRC
+//! bytes, truncation, arbitrary byte salad — must come back as typed
+//! [`DecodeError`]s, never panics.
 
 use ninec::encode::Encoder;
 use ninec::engine::{frame, Engine, FrameError, FrameReader};
@@ -72,6 +74,29 @@ fn engine(threads: usize, segment_bits: usize) -> Engine {
         .build()
 }
 
+/// A v3 engine with parity 4:1.
+fn v3_engine(threads: usize, segment_bits: usize) -> Engine {
+    Engine::builder()
+        .threads(threads)
+        .segment_bits(segment_bits)
+        .parity(4, 1)
+        .build()
+}
+
+/// `bytes` with the first payload byte of data segment `pick` (modulo
+/// the data segments) flipped, or `None` when the frame has none.
+fn flip_data_payload(bytes: &[u8], pick: usize) -> Option<Vec<u8>> {
+    let plan = engine(1, 64).build_plan(bytes).unwrap();
+    let n = plan.claimed_segments();
+    if n == 0 {
+        return None;
+    }
+    let at = plan.entries()[pick % n].byte_range().start + frame::SEGMENT_HEADER_BYTES;
+    let mut bad = bytes.to_vec();
+    bad[at] ^= 0x55;
+    Some(bad)
+}
+
 proptest! {
     /// `Engine::encode` is bit-identical to the serial encoder — stream,
     /// stats, everything — for every (K, segment, threads) combination.
@@ -128,14 +153,27 @@ proptest! {
     /// output, the words its neighbours share merged after the join: in
     /// memory, on a plan and streaming (64 KiB and 7-byte reads), the
     /// output equals the serial stream's decode exactly — `X` positions
-    /// included — at every K, segment size and thread count.
+    /// included — at every K, segment size and thread count. Repair and
+    /// salvage decode in place through the same jobs: with one payload
+    /// byte of data segment `pick` flipped, salvage equals the serial
+    /// decode with exactly the damage map's trit range set to `X`, also
+    /// where that range shares output words with its neighbours, and
+    /// repair of a v3 4:1 frame equals the serial decode.
     #[test]
-    fn in_place_strict_decode_equals_the_serial_decode(stream in arb_stream(500)) {
+    fn in_place_strict_decode_equals_the_serial_decode(
+        stream in arb_stream(500),
+        pick in any::<usize>(),
+    ) {
         for k in K_DIFF {
             let encoded = Encoder::new(k).unwrap().encode_stream(&stream);
             let serial = DecodeSession::new().decode(&encoded).unwrap();
             for seg in in_place_sweeps(k) {
                 let bytes = engine(1, seg).encode_frame(k, &stream).unwrap();
+                let damaged = flip_data_payload(&bytes, pick);
+                let damaged_v3 = flip_data_payload(
+                    &v3_engine(1, seg).encode_frame(k, &stream).unwrap(),
+                    pick,
+                );
                 for threads in [1usize, 2, 3, 8] {
                     let eng = engine(threads, seg);
                     prop_assert_eq!(
@@ -155,6 +193,29 @@ proptest! {
                             &eng.decode_stream_reader(&mut reader).unwrap(),
                             &serial,
                             "stream K={} seg={} threads={} chunk={}", k, seg, threads, chunk
+                        );
+                    }
+                    if let Some(damaged) = &damaged {
+                        let plan = eng.build_plan(damaged).unwrap();
+                        let report = eng.execute_plan(&plan, Policy::Salvage).unwrap();
+                        prop_assert_eq!(report.damaged.len(), 1);
+                        let mut expect = serial.clone();
+                        for i in report.damaged[0].trit_range.clone() {
+                            expect.set(i, Trit::X);
+                        }
+                        prop_assert_eq!(
+                            &report.trits,
+                            &expect,
+                            "salvage K={} seg={} threads={}", k, seg, threads
+                        );
+                    }
+                    if let Some(damaged) = &damaged_v3 {
+                        let eng = v3_engine(threads, seg);
+                        let plan = eng.build_plan(damaged).unwrap();
+                        prop_assert_eq!(
+                            &eng.execute_plan(&plan, Policy::Repair).unwrap().trits,
+                            &serial,
+                            "repair K={} seg={} threads={}", k, seg, threads
                         );
                     }
                 }

@@ -897,6 +897,40 @@ fn a_rebuilt_segment_past_the_header_total_is_erased() {
     assert_eq!(report, salvage(&eng, &bad).unwrap());
 }
 
+/// A token that trips before the rebuild stage claims its job cancels
+/// the rebuild: the damaged segment erases under its own `BadCrc`,
+/// neither `Cancelled` nor `RepairedBy`, and nothing is repaired. The
+/// rebuilds run before every decode, so the decodes behind them are
+/// cancelled too and the whole output reads `X`.
+#[test]
+fn a_cancelled_repair_job_leaves_its_group_erased() {
+    let stream = stream_800();
+    let eng = engine_64(4, 1).build();
+    let frame = eng.encode_frame(8, &stream).unwrap();
+    let bad = flip_payload(&eng, &frame, 0);
+    let plan = eng.build_plan(&bad).unwrap();
+
+    let repaired = eng.execute_plan(&plan, Policy::Repair).unwrap();
+    assert!(repaired.is_full_recovery(), "{:?}", repaired.damaged);
+    assert_eq!(repaired.repaired_segments(), 1);
+
+    let token = ninec::CancelToken::new();
+    token.cancel();
+    let cancelled = engine_64(4, 1).cancel_token(token).build();
+    let report = cancelled.execute_plan(&plan, Policy::Repair).unwrap();
+    assert_eq!(report.repaired_segments(), 0);
+    assert_eq!((report.recovered_segments, report.total_segments), (0, 13));
+    assert_eq!(report.damaged.len(), 13, "{:?}", report.damaged);
+    let d = &report.damaged[0];
+    assert_eq!(d.index, 0);
+    assert_eq!(d.reason, ninec::DamageReason::BadCrc);
+    assert_eq!(d.trit_range, 0..64);
+    for d in &report.damaged[1..] {
+        assert_eq!(d.reason, ninec::DamageReason::Cancelled, "{d:?}");
+    }
+    assert!(report.trits.iter().all(|t| t == Trit::X));
+}
+
 // ---------------------------------------------------------------------------
 // Failpoint-armed tests: forced worker panics, delays and torn writes.
 // ---------------------------------------------------------------------------
@@ -905,7 +939,6 @@ fn a_rebuilt_segment_past_the_header_total_is_erased() {
 mod failpoints {
     use super::*;
     use ninec::engine::faultpoint::{Action, FailPoint, SITE_SEG};
-    use std::time::Duration;
 
     fn seg_point(index: Option<usize>, action: Action) -> FailPoint {
         FailPoint {
@@ -1039,35 +1072,5 @@ mod failpoints {
                 assert_eq!(torn.get(40 * seg), Some(flipped));
             }
         }
-    }
-
-    /// A deadline that trips while the last intact segment decodes
-    /// cancels the parity-group rebuild queued behind it: the damaged
-    /// segment erases under its own `BadCrc`, neither `Cancelled` nor
-    /// `RepairedBy`, and every intact segment is still recovered.
-    #[test]
-    fn a_cancelled_repair_job_leaves_its_group_erased() {
-        let stream = stream_800();
-        let eng = engine_64(4, 1).build();
-        let frame = eng.encode_frame(8, &stream).unwrap();
-        let bad = flip_payload(&eng, &frame, 0);
-        let plan = eng.build_plan(&bad).unwrap();
-
-        let repaired = eng.execute_plan(&plan, Policy::Repair).unwrap();
-        assert!(repaired.is_full_recovery(), "{:?}", repaired.damaged);
-        assert_eq!(repaired.repaired_segments(), 1);
-
-        let armed = engine_64(4, 1)
-            .failpoint(seg_point(Some(12), Action::Delay { millis: 60 }))
-            .cancel_token(ninec::CancelToken::after(Duration::from_millis(20)))
-            .build();
-        let report = armed.execute_plan(&plan, Policy::Repair).unwrap();
-        assert_eq!((report.recovered_segments, report.total_segments), (12, 13));
-        assert_eq!(report.repaired_segments(), 0);
-        assert_eq!(report.damaged.len(), 1, "{:?}", report.damaged);
-        let d = &report.damaged[0];
-        assert_eq!(d.index, 0);
-        assert_eq!(d.reason, ninec::DamageReason::BadCrc);
-        assert_eq!(d.trit_range, 0..64);
     }
 }
