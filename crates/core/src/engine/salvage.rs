@@ -420,55 +420,56 @@ pub(crate) fn execute(
             .map_or((bytes.len()..bytes.len(), None), |&(e, entry)| {
                 (entry.byte_range(), rebuilt[e].as_ref())
             });
-        let reason = match erase {
-            Some(reason) => reason,
+        let verdict = match erase {
+            Some(reason) => Err(reason),
             None => match verdicts.next() {
-                Some(JobOutcome::Done(Ok(()))) => {
-                    recovered += 1;
-                    let Some(rb) = rb else {
-                        ninec_obs::trace_instant(
-                            "rung",
-                            at,
-                            ninec_obs::RungKind::Strict,
-                            ninec_obs::TracePayload::None,
-                        );
-                        continue;
-                    };
-                    ninec_obs::trace_instant(
-                        "rung",
-                        at,
-                        ninec_obs::RungKind::Repaired,
-                        ninec_obs::TracePayload::Repair {
-                            group: u32::try_from(rb.group).unwrap_or(u32::MAX),
-                            parity_used: u32::try_from(rb.parity_used).unwrap_or(u32::MAX),
-                        },
-                    );
-                    damaged.push(DamagedSegment {
-                        index: s,
-                        byte_range,
-                        trit_range,
-                        reason: DamageReason::RepairedBy {
-                            group: rb.group,
-                            parity_used: rb.parity_used,
-                        },
-                    });
-                    continue;
-                }
-                Some(JobOutcome::Done(Err(err))) => DamageReason::Decode(err),
-                Some(JobOutcome::Panicked(_)) => DamageReason::WorkerPanicked,
-                Some(JobOutcome::Cancelled) => DamageReason::Cancelled,
+                Some(JobOutcome::Done(Ok(()))) => Ok(()),
+                Some(JobOutcome::Done(Err(err))) => Err(DamageReason::Decode(err)),
+                Some(JobOutcome::Panicked(_)) => Err(DamageReason::WorkerPanicked),
+                Some(JobOutcome::Cancelled) => Err(DamageReason::Cancelled),
                 // Unreachable: every slot the layout keeps has a job.
-                None => DamageReason::Malformed("internal plan/result mismatch"),
+                None => Err(DamageReason::Malformed("internal plan/result mismatch")),
             },
         };
-        ninec_obs::trace_instant(
-            "rung",
-            at,
-            ninec_obs::RungKind::Salvaged,
-            ninec_obs::TracePayload::Erase {
-                trits: u32::try_from(want).unwrap_or(u32::MAX),
-            },
-        );
+        let reason = match (verdict, rb) {
+            (Ok(()), None) => {
+                recovered += 1;
+                ninec_obs::trace_instant(
+                    "rung",
+                    at,
+                    ninec_obs::RungKind::Strict,
+                    ninec_obs::TracePayload::None,
+                );
+                continue;
+            }
+            (Ok(()), Some(rb)) => {
+                recovered += 1;
+                ninec_obs::trace_instant(
+                    "rung",
+                    at,
+                    ninec_obs::RungKind::Repaired,
+                    ninec_obs::TracePayload::Repair {
+                        group: u32::try_from(rb.group).unwrap_or(u32::MAX),
+                        parity_used: u32::try_from(rb.parity_used).unwrap_or(u32::MAX),
+                    },
+                );
+                DamageReason::RepairedBy {
+                    group: rb.group,
+                    parity_used: rb.parity_used,
+                }
+            }
+            (Err(reason), _) => {
+                ninec_obs::trace_instant(
+                    "rung",
+                    at,
+                    ninec_obs::RungKind::Salvaged,
+                    ninec_obs::TracePayload::Erase {
+                        trits: u32::try_from(want).unwrap_or(u32::MAX),
+                    },
+                );
+                reason
+            }
+        };
         damaged.push(DamagedSegment {
             index: s,
             byte_range,
